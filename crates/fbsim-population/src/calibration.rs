@@ -109,29 +109,24 @@ struct TopicGeometry {
 }
 
 impl TopicGeometry {
-    fn build(panel: &Panel, n_topics: usize) -> Self {
+    fn build(panel: &Panel) -> Self {
         let base = panel.base_affinity() as f64;
-        let mut fan_y: Vec<Vec<f64>> = vec![Vec::new(); n_topics];
-        let mut fan_b: Vec<Vec<f64>> = vec![Vec::new(); n_topics];
-        let bs: Vec<f64> = panel
-            .users()
-            .iter()
-            .map(|user| {
-                let b = base * user.alpha as f64;
-                for slot in 0..user.taste_len as usize {
-                    let t = user.taste_topics[slot] as usize;
-                    let y = (base + user.taste_eff[slot] as f64) * user.alpha as f64;
-                    fan_y[t].push(y);
-                    fan_b[t].push(b);
+        let alphas = panel.alphas();
+        let bs: Vec<f64> = alphas.iter().map(|&alpha| base * alpha as f64).collect();
+        let (fan_affinity, fan_background) = (0..panel.n_topics())
+            .map(|t| {
+                let fans = panel.fans(TopicId(t as u16));
+                let (mut y, mut b) =
+                    (Vec::with_capacity(fans.len()), Vec::with_capacity(fans.len()));
+                for (&v, &eff) in fans.users.iter().zip(fans.eff) {
+                    let alpha = alphas[v as usize] as f64;
+                    y.push((base + eff as f64) * alpha);
+                    b.push(base * alpha);
                 }
-                b
+                (ValueBins::build(&y, FAN_BINS), ValueBins::build(&b, FAN_BINS))
             })
-            .collect();
-        Self {
-            global: ValueBins::build(&bs, B_BINS),
-            fan_affinity: fan_y.iter().map(|v| ValueBins::build(v, FAN_BINS)).collect(),
-            fan_background: fan_b.iter().map(|v| ValueBins::build(v, FAN_BINS)).collect(),
-        }
+            .unzip();
+        Self { global: ValueBins::build(&bs, B_BINS), fan_affinity, fan_background }
     }
 
     /// Model audience of an interest with `score` in `topic`.
@@ -146,7 +141,7 @@ impl TopicGeometry {
 /// Computes the current model audience of every interest (exact fans +
 /// Taylor background). Used by calibration, Fig.-2 regeneration and tests.
 pub fn measured_single_audiences(catalog: &InterestCatalog, panel: &Panel) -> Vec<f64> {
-    let geometry = TopicGeometry::build(panel, catalog.n_topics());
+    let geometry = TopicGeometry::build(panel);
     catalog.interests().par_iter().map(|i| geometry.audience(panel, i.score, i.topic)).collect()
 }
 

@@ -8,7 +8,8 @@
 //! (user, interest) pair gets one deterministic Bernoulli draw
 //! `member ⇔ u(user, interest) < p_vi`, where `u` is a counter-free hash of
 //! the world seed and the pair (independent of thread count and build
-//! order), and `p_vi` is exactly [`crate::panel::PanelUser::carriage_probability`].
+//! order), and `p_vi` is exactly the reach engine's carriage probability
+//! (`Panel::carriage_exponents`).
 //! Per-interest membership is stored bit-packed; a conjunction then costs an
 //! AND-chain with `count_ones()` — a handful of words per 4,096 users
 //! instead of a float pipeline per user, which is what makes 1M+ panels and
@@ -57,7 +58,7 @@
 use rayon::prelude::*;
 
 use crate::catalog::{InterestCatalog, InterestId};
-use crate::panel::Panel;
+use crate::panel::{carriage, Panel};
 use crate::reach::CountryFilter;
 use crate::world::World;
 
@@ -307,8 +308,8 @@ impl ReachIndex {
         }
         let word_len = panel.len().div_ceil(64);
         let mut countries = vec![vec![0u64; word_len]; 50];
-        for (v, user) in panel.users().iter().enumerate() {
-            countries[user.country as usize][v / 64] |= 1u64 << (v % 64);
+        for (v, &country) in panel.countries().iter().enumerate() {
+            countries[country as usize][v / 64] |= 1u64 << (v % 64);
         }
         Self {
             draw_seed,
@@ -562,13 +563,16 @@ fn materialize_interest(
     id: InterestId,
 ) -> PostingList {
     let interest = catalog.interest(id);
-    let base = panel.base_affinity();
     let panel_len = panel.len();
     let mut words = vec![0u64; panel_len.div_ceil(64)];
-    for (v, user) in panel.users().iter().enumerate() {
-        let p = user.carriage_probability(interest.score, interest.topic, base);
-        if pair_uniform(draw_seed, v as u32, id.0) < p {
-            words[v / 64] |= 1u64 << (v % 64);
+    let mut x = vec![0.0f64; BLOCK_USERS];
+    for lo in (0..panel_len).step_by(BLOCK_USERS) {
+        let x = &mut x[..BLOCK_USERS.min(panel_len - lo)];
+        panel.carriage_exponents(lo, interest.score, interest.topic, x);
+        for (v, &xv) in (lo..).zip(x.iter()) {
+            if pair_uniform(draw_seed, v as u32, id.0) < carriage(xv) {
+                words[v / 64] |= 1u64 << (v % 64);
+            }
         }
     }
     PostingList::from_words(&words, panel_len)
@@ -587,7 +591,6 @@ pub fn boolean_reference_count(world: &World, ids: &[InterestId], filter: Countr
     let catalog = world.catalog();
     let panel = world.panel();
     let draw_seed = world.config().seed ^ DRAW_DOMAIN;
-    let base = panel.base_affinity();
     let params: Vec<(u32, f64, crate::catalog::TopicId)> = ids
         .iter()
         .map(|&id| {
@@ -596,12 +599,12 @@ pub fn boolean_reference_count(world: &World, ids: &[InterestId], filter: Countr
         })
         .collect();
     let mut count = 0u64;
-    for (v, user) in panel.users().iter().enumerate() {
-        if !filter.contains(user.country) {
+    for (v, &country) in panel.countries().iter().enumerate() {
+        if !filter.contains(country) {
             continue;
         }
         let carries_all = params.iter().all(|&(raw, score, topic)| {
-            let p = user.carriage_probability(score, topic, base);
+            let p = panel.carriage_probability(v, score, topic);
             pair_uniform(draw_seed, v as u32, raw) < p
         });
         if carries_all {
@@ -673,7 +676,7 @@ mod tests {
         let idx = index();
         assert_eq!(idx.conjunction_count(&[], CountryFilter::ALL), Some(idx.panel_len() as u64));
         let us = idx.conjunction_count(&[], CountryFilter::of(&[0])).expect("built");
-        let panel_us = world().panel().users().iter().filter(|u| u.country == 0).count() as u64;
+        let panel_us = world().panel().countries().iter().filter(|&&c| c == 0).count() as u64;
         assert_eq!(us, panel_us);
         assert_eq!(idx.conjunction_count(&[], CountryFilter::from_bits(0)), Some(0));
     }

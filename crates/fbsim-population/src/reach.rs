@@ -22,27 +22,35 @@
 //! interests were uncorrelated. Comparing the two shows why the latent-taste
 //! correlation structure is load-bearing for reproducing the paper.
 //!
-//! # The underflow-cutoff contract (freeze-and-drop)
+//! # One kernel, one contract (freeze-and-drop)
 //!
-//! Every evaluation path applies one cutoff rule to the per-user running
-//! product: a user whose product has fallen to `≤ 1e-300` is **frozen** —
-//! the product stops updating and the user contributes **nothing** to any
-//! deeper prefix (the first interest always contributes, because every
-//! product starts at `1.0 > 1e-300`). The scalar path
-//! ([`ReachEngine::conjunction_reach_in`]), the one-shot sweep
-//! ([`ReachEngine::nested_reaches_in`]) and the resumable sweep
-//! ([`ReachEngine::sweep_extend`]) all implement exactly this rule, with the
-//! same chunk partition and the same fold order, so
-//! `conjunction_reach_in(&ids[..k], f)` is **bit-identical** to
-//! `nested_reaches_in(ids, f)[k - 1]` for every prefix length `k` — however
-//! the sequence is split across sweep calls and at any thread count. That
-//! equivalence is what lets the serving layer canonicalize a scalar spelling
-//! and a nested prefix of the same conjunction onto one cache entry.
+//! Every entry point — scalar ([`ReachEngine::conjunction_reach_in`]),
+//! one-shot sweep ([`ReachEngine::nested_reaches_in`]), resumable sweep
+//! ([`ReachEngine::sweep_extend`]) and the two per-chunk partial functions
+//! a sharded router folds — runs the same per-chunk kernel over the same
+//! [`CHUNK_USERS`] partition. Per interest, the kernel fills the chunk's
+//! carriage exponents from the panel's columns
+//! (`Panel::carriage_exponents`) and folds them into one running product
+//! per user under a single cutoff rule: a user whose product has fallen to
+//! `≤ 1e-300` is **frozen** — the product stops updating and the user
+//! contributes **nothing** to any deeper prefix (the first interest always
+//! contributes, because every in-filter product starts at `1.0 > 1e-300`;
+//! filtered-out users start at `0.0` and never contribute). The kernel
+//! returns the chunk's sum for every prefix; a scalar query is the last of
+//! them, and every path folds chunk sums in ascending chunk order from
+//! `0.0`.
+//!
+//! So `conjunction_reach_in(&ids[..k], f)` is **bit-identical** to
+//! `nested_reaches_in(ids, f)[k - 1]` for every prefix length `k` —
+//! however the sequence is split across sweep calls, however the chunks
+//! are spread over shards, and at any thread count. That equivalence is
+//! what lets the serving layer canonicalize a scalar spelling and a nested
+//! prefix of the same conjunction onto one cache entry.
 
 use rayon::prelude::*;
 
-use crate::catalog::{InterestCatalog, InterestId};
-use crate::panel::Panel;
+use crate::catalog::{InterestCatalog, InterestId, TopicId};
+use crate::panel::{carriage, Panel};
 
 /// Filter over the targeting universe: a bitmask of country indices
 /// (bit `i` = country `i` of `TARGETING_UNIVERSE`). Bits 50..64 are outside
@@ -176,80 +184,45 @@ impl SweepState {
 /// (pinned by a test).
 pub const CHUNK_USERS: usize = 4_096;
 
-/// Internal alias kept for the existing kernel code.
-const CHUNK: usize = CHUNK_USERS;
-
-/// Per-chunk scalar kernel: the freeze-and-drop sum of per-user conjunction
-/// products over one chunk of panel users (unscaled). This is *the* kernel
-/// both [`ReachEngine::conjunction_reach_in`] and
-/// [`ReachEngine::conjunction_chunk_partials`] run, so a sharded
-/// recomputation is bit-identical to the one-shot path by construction.
-fn scalar_chunk_acc(
-    chunk: &[crate::panel::PanelUser],
-    params: &[(f64, crate::catalog::TopicId)],
-    filter: CountryFilter,
-    base: f32,
-) -> f64 {
-    let mut acc = 0.0f64;
-    for user in chunk {
-        if !filter.contains(user.country) {
-            continue;
-        }
-        // Same per-user rule as the sweeps: multiply while the
-        // running product stays above the cutoff; a user frozen
-        // before the last interest contributes nothing. (The
-        // first multiply always happens — the product starts at
-        // 1.0 — so single-interest queries are never dropped.)
-        let mut product = 1.0f64;
-        let mut live = true;
-        for &(score, topic) in params {
-            if product > 1e-300 {
-                product *= user.carriage_probability(score, topic, base);
-            } else {
-                live = false;
-                break;
+/// The reach kernel: folds `params` (score, topic) into the running
+/// products `slots` of the panel chunk starting at user `lo`, in place, and
+/// returns the chunk's unscaled contribution to each prefix (element `k` →
+/// the prefix ending at `params[k]`).
+///
+/// Per interest it fills the chunk's carriage exponents
+/// (`Panel::carriage_exponents`) and applies the freeze-and-drop rule:
+/// a slot above `1e-300` is multiplied by its carriage probability and
+/// added to the prefix sum; a slot at or below it (frozen, or filtered out
+/// at `0.0`) is skipped and never updated again. Every reach path runs
+/// this function, so they agree bit for bit by construction.
+fn sweep_chunk(panel: &Panel, lo: usize, params: &[(f64, TopicId)], slots: &mut [f64]) -> Vec<f64> {
+    let mut x = vec![0.0f64; slots.len()];
+    params
+        .iter()
+        .map(|&(score, topic)| {
+            panel.carriage_exponents(lo, score, topic, &mut x);
+            let mut step = 0.0f64;
+            for (slot, &xv) in slots.iter_mut().zip(&x) {
+                if *slot > 1e-300 {
+                    *slot *= carriage(xv);
+                    step += *slot;
+                }
             }
-        }
-        if live {
-            acc += product;
-        }
-    }
-    acc
+            step
+        })
+        .collect()
 }
 
-/// Per-chunk nested kernel: the freeze-and-drop per-prefix sums over one
-/// chunk of panel users (unscaled; element `k` is the chunk's contribution
-/// to prefix `k + 1`). Shared by [`ReachEngine::nested_reaches_in`] and
-/// [`ReachEngine::nested_chunk_partials`] — same bit-identity argument as
-/// [`scalar_chunk_acc`].
-fn nested_chunk_acc(
-    chunk: &[crate::panel::PanelUser],
-    params: &[(f64, crate::catalog::TopicId)],
-    filter: CountryFilter,
-    base: f32,
-) -> Vec<f64> {
-    let mut acc = vec![0.0f64; params.len()];
-    let mut products = vec![0.0f64; chunk.len()];
-    // First interest initialises the running products.
-    for (slot, user) in products.iter_mut().zip(chunk) {
-        *slot = if filter.contains(user.country) {
-            user.carriage_probability(params[0].0, params[0].1, base)
-        } else {
-            0.0
-        };
-        acc[0] += *slot;
-    }
-    for (k, &(score, topic)) in params.iter().enumerate().skip(1) {
-        let mut step = 0.0f64;
-        for (slot, user) in products.iter_mut().zip(chunk) {
-            if *slot > 1e-300 {
-                *slot *= user.carriage_probability(score, topic, base);
-                step += *slot;
-            }
+/// Sums per-chunk partials element-wise in ascending chunk order from
+/// `0.0` — the reduction tree every path (and a sharded router) shares.
+fn fold_chunks(partials: impl IntoIterator<Item = Vec<f64>>, len: usize) -> Vec<f64> {
+    let mut sums = vec![0.0f64; len];
+    for partial in partials {
+        for (x, y) in sums.iter_mut().zip(partial) {
+            *x += y;
         }
-        acc[k] = step;
     }
-    acc
+    sums
 }
 
 impl<'a> ReachEngine<'a> {
@@ -287,21 +260,8 @@ impl<'a> ReachEngine<'a> {
             interests = ids.len(),
             countries = filter.len(),
         );
-        let base = self.panel.base_affinity();
-        let params: Vec<(f64, crate::catalog::TopicId)> = ids
-            .iter()
-            .map(|&id| {
-                let i = self.catalog.interest(id);
-                (i.score, i.topic)
-            })
-            .collect();
-        let sum: f64 = self
-            .panel
-            .users()
-            .par_chunks(CHUNK)
-            .map(|chunk| scalar_chunk_acc(chunk, &params, filter, base))
-            .sum();
-        sum * self.panel.scale()
+        let partials = self.scalar_partials(ids, filter, &self.all_chunks());
+        partials.iter().fold(0.0, |acc, p| acc + p) * self.panel.scale()
     }
 
     /// Reach of every prefix of `ids`: element `k` is the audience of the
@@ -315,9 +275,9 @@ impl<'a> ReachEngine<'a> {
     /// [`Self::nested_reaches`] with a country filter.
     ///
     /// Element `k` is bit-identical to
-    /// `conjunction_reach_in(&ids[..=k], filter)` — both paths share the
-    /// freeze-and-drop underflow cutoff, chunk partition, and fold order
-    /// (see the module docs).
+    /// `conjunction_reach_in(&ids[..=k], filter)` — both paths run the same
+    /// kernel over the same chunk partition and fold order (see the module
+    /// docs).
     pub fn nested_reaches_in(&self, ids: &[InterestId], filter: CountryFilter) -> Vec<f64> {
         if ids.is_empty() {
             return Vec::new();
@@ -327,29 +287,8 @@ impl<'a> ReachEngine<'a> {
             interests = ids.len(),
             countries = filter.len(),
         );
-        let base = self.panel.base_affinity();
-        let params: Vec<(f64, crate::catalog::TopicId)> = ids
-            .iter()
-            .map(|&id| {
-                let i = self.catalog.interest(id);
-                (i.score, i.topic)
-            })
-            .collect();
-        let sums: Vec<f64> = self
-            .panel
-            .users()
-            .par_chunks(CHUNK)
-            .map(|chunk| nested_chunk_acc(chunk, &params, filter, base))
-            .reduce(
-                || vec![0.0f64; params.len()],
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x += y;
-                    }
-                    a
-                },
-            );
-        sums.into_iter().map(|s| s * self.panel.scale()).collect()
+        let partials = self.nested_partials(ids, filter, &self.all_chunks());
+        self.scaled(fold_chunks(partials, ids.len()))
     }
 
     /// Starts a resumable nested sweep restricted to `filter`: every
@@ -359,18 +298,11 @@ impl<'a> ReachEngine<'a> {
     /// Folding interests into the state with [`ReachEngine::sweep_extend`]
     /// yields exactly the prefix reaches [`ReachEngine::nested_reaches_in`]
     /// would compute — bit-identically, however the sequence is split
-    /// across extend calls — because the per-user multiply order, the chunk
-    /// partition and the chunk-order reduction are all identical. The state
-    /// is what a prefix-memoizing cache stores so a sweep extending an
-    /// already-seen prefix only pays for the tail.
+    /// across extend calls — because both run the same kernel on the same
+    /// starting products. The state is what a prefix-memoizing cache stores
+    /// so a sweep extending an already-seen prefix only pays for the tail.
     pub fn sweep_begin(&self, filter: CountryFilter) -> SweepState {
-        let products = self
-            .panel
-            .users()
-            .iter()
-            .map(|user| if filter.contains(user.country) { 1.0 } else { 0.0 })
-            .collect();
-        SweepState { products, filter, depth: 0 }
+        SweepState { products: self.filter_products(0, self.panel.len(), filter), filter, depth: 0 }
     }
 
     /// Folds `tail` into a sweep, returning the scaled reach of each newly
@@ -390,51 +322,17 @@ impl<'a> ReachEngine<'a> {
         }
         let _span =
             uof_telemetry::span!("engine.sweep_extend", depth = state.depth(), tail = tail.len(),);
-        let base = self.panel.base_affinity();
-        let params: Vec<(f64, crate::catalog::TopicId)> = tail
-            .iter()
-            .map(|&id| {
-                let i = self.catalog.interest(id);
-                (i.score, i.topic)
-            })
-            .collect();
-        let users = self.panel.users();
-        let nchunks = n.div_ceil(CHUNK);
-        // Same CHUNK partition as `nested_reaches_in`, and `collect`
-        // preserves chunk order, so folding the per-chunk partials below in
-        // that order reproduces its reduction tree exactly.
-        let per_chunk: Vec<(Vec<f64>, Vec<f64>)> = (0..nchunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * CHUNK;
-                let hi = ((c + 1) * CHUNK).min(n);
-                let chunk = &users[lo..hi];
-                let mut slots = state.products[lo..hi].to_vec();
-                let mut acc = vec![0.0f64; params.len()];
-                for (k, &(score, topic)) in params.iter().enumerate() {
-                    let mut step = 0.0f64;
-                    for (slot, user) in slots.iter_mut().zip(chunk) {
-                        if *slot > 1e-300 {
-                            *slot *= user.carriage_probability(score, topic, base);
-                            step += *slot;
-                        }
-                    }
-                    acc[k] = step;
-                }
-                (acc, slots)
-            })
-            .collect();
-        let mut sums = vec![0.0f64; params.len()];
+        let per_chunk =
+            self.sweep_chunks(tail, &self.all_chunks(), |lo, hi| state.products[lo..hi].to_vec());
         let mut products = Vec::with_capacity(n);
+        let mut partials = Vec::with_capacity(per_chunk.len());
         for (acc, slots) in per_chunk {
-            for (x, y) in sums.iter_mut().zip(&acc) {
-                *x += *y;
-            }
             products.extend_from_slice(&slots);
+            partials.push(acc);
         }
-        let reaches = sums.into_iter().map(|s| s * self.panel.scale()).collect();
+        let sums = fold_chunks(partials, tail.len());
         let next = SweepState { products, filter: state.filter, depth: state.depth + tail.len() };
-        (reaches, next)
+        (self.scaled(sums), next)
     }
 
     /// The global-independence baseline: `Pop · Π (AS_i / Pop)` using the
@@ -457,7 +355,7 @@ impl<'a> ReachEngine<'a> {
     /// Number of [`CHUNK_USERS`]-sized chunks in the panel partition — the
     /// unit of sharding (see [`crate::shard`]).
     pub fn chunk_count(&self) -> usize {
-        self.panel.len().div_ceil(CHUNK)
+        self.panel.len().div_ceil(CHUNK_USERS)
     }
 
     /// Per-chunk **unscaled** scalar partials for the given global chunk
@@ -468,11 +366,9 @@ impl<'a> ReachEngine<'a> {
     /// Folding the partials of *all* chunks `0..chunk_count()` into an
     /// `0.0`-initialised accumulator in **ascending chunk order** and
     /// multiplying by the panel scale reproduces
-    /// [`ReachEngine::conjunction_reach_in`] bit for bit: the kernel is
-    /// shared, and the vendored rayon `sum` folds block partials in block
-    /// order from `0.0` (and `0.0 + x == x` bitwise for these non-negative
-    /// sums). This is the sharding determinism contract the router relies
-    /// on.
+    /// [`ReachEngine::conjunction_reach_in`] bit for bit: that is literally
+    /// how the one-shot path computes its answer. This is the sharding
+    /// determinism contract the router relies on.
     ///
     /// # Panics
     ///
@@ -489,27 +385,7 @@ impl<'a> ReachEngine<'a> {
             interests = ids.len(),
             chunks = chunks.len(),
         );
-        let base = self.panel.base_affinity();
-        let params: Vec<(f64, crate::catalog::TopicId)> = ids
-            .iter()
-            .map(|&id| {
-                let i = self.catalog.interest(id);
-                (i.score, i.topic)
-            })
-            .collect();
-        let users = self.panel.users();
-        let n = users.len();
-        let nchunks = self.chunk_count();
-        chunks
-            .par_chunks(1)
-            .map(|slot| {
-                let c = slot[0];
-                assert!(c < nchunks, "chunk index {c} out of range (panel has {nchunks} chunks)");
-                let lo = c * CHUNK;
-                let hi = ((c + 1) * CHUNK).min(n);
-                scalar_chunk_acc(&users[lo..hi], &params, filter, base)
-            })
-            .collect()
+        self.scalar_partials(ids, filter, chunks)
     }
 
     /// Per-chunk **unscaled** nested partials for the given global chunk
@@ -539,25 +415,85 @@ impl<'a> ReachEngine<'a> {
         if ids.is_empty() {
             return vec![Vec::new(); chunks.len()];
         }
-        let base = self.panel.base_affinity();
-        let params: Vec<(f64, crate::catalog::TopicId)> = ids
+        self.nested_partials(ids, filter, chunks)
+    }
+
+    /// Every chunk index, ascending.
+    fn all_chunks(&self) -> Vec<usize> {
+        (0..self.chunk_count()).collect()
+    }
+
+    /// Multiplies unscaled sums by the panel scale.
+    fn scaled(&self, sums: Vec<f64>) -> Vec<f64> {
+        sums.into_iter().map(|s| s * self.panel.scale()).collect()
+    }
+
+    /// Starting products for users `lo..hi`: `1.0` in the filter, else `0.0`.
+    fn filter_products(&self, lo: usize, hi: usize, filter: CountryFilter) -> Vec<f64> {
+        self.panel.countries()[lo..hi]
+            .iter()
+            .map(|&c| if filter.contains(c) { 1.0 } else { 0.0 })
+            .collect()
+    }
+
+    /// Per-chunk nested partials from filter-initialised products.
+    fn nested_partials(
+        &self,
+        ids: &[InterestId],
+        filter: CountryFilter,
+        chunks: &[usize],
+    ) -> Vec<Vec<f64>> {
+        self.sweep_chunks(ids, chunks, |lo, hi| self.filter_products(lo, hi, filter))
+            .into_iter()
+            .map(|(acc, _)| acc)
+            .collect()
+    }
+
+    /// Per-chunk scalar partials: the last prefix of the nested partials,
+    /// or — for the empty conjunction — the chunk's in-filter head count.
+    fn scalar_partials(
+        &self,
+        ids: &[InterestId],
+        filter: CountryFilter,
+        chunks: &[usize],
+    ) -> Vec<f64> {
+        self.sweep_chunks(ids, chunks, |lo, hi| self.filter_products(lo, hi, filter))
+            .into_iter()
+            .map(|(acc, slots)| acc.last().copied().unwrap_or_else(|| slots.iter().sum()))
+            .collect()
+    }
+
+    /// Runs [`sweep_chunk`] over the given global chunks in parallel, each
+    /// from the products `start(lo, hi)` returns for its user range.
+    /// Returns, per chunk in the order given, the per-prefix partials and
+    /// the final products.
+    fn sweep_chunks<F>(
+        &self,
+        ids: &[InterestId],
+        chunks: &[usize],
+        start: F,
+    ) -> Vec<(Vec<f64>, Vec<f64>)>
+    where
+        F: Fn(usize, usize) -> Vec<f64> + Sync,
+    {
+        let params: Vec<(f64, TopicId)> = ids
             .iter()
             .map(|&id| {
                 let i = self.catalog.interest(id);
                 (i.score, i.topic)
             })
             .collect();
-        let users = self.panel.users();
-        let n = users.len();
+        let n = self.panel.len();
         let nchunks = self.chunk_count();
         chunks
-            .par_chunks(1)
-            .map(|slot| {
-                let c = slot[0];
+            .par_iter()
+            .map(|&c| {
                 assert!(c < nchunks, "chunk index {c} out of range (panel has {nchunks} chunks)");
-                let lo = c * CHUNK;
-                let hi = ((c + 1) * CHUNK).min(n);
-                nested_chunk_acc(&users[lo..hi], &params, filter, base)
+                let lo = c * CHUNK_USERS;
+                let hi = ((c + 1) * CHUNK_USERS).min(n);
+                let mut slots = start(lo, hi);
+                let acc = sweep_chunk(self.panel, lo, &params, &mut slots);
+                (acc, slots)
             })
             .collect()
     }

@@ -25,8 +25,7 @@ use serde::{Deserialize, Serialize};
 use crate::catalog::TopicId;
 use crate::config::WorldConfig;
 
-/// Maximum taste topics per user — fixed storage keeps the reach engine's
-/// panel compact and cache-friendly.
+/// Maximum taste topics per user.
 pub const MAX_TASTE_TOPICS: usize = 8;
 
 /// A user's sparse taste over topics.

@@ -12,7 +12,9 @@
 # once with the posting-list index enabled (UOF_REACH_INDEX=1), so the
 # sampled-count path cannot perturb the float oracle. Tests that assert
 # cache, telemetry, or index behaviour construct explicit configs and are
-# immune to the sweeps.
+# immune to the sweeps. The per-crate sweeps below run suites the root
+# `cargo test` does not reach: the reach kernel (`fbsim-population`,
+# including its row-at-a-time oracle), the router and the marketplace.
 #
 # Each step fails fast; run from anywhere inside the repo.
 set -euo pipefail
@@ -51,6 +53,10 @@ UOF_TELEMETRY=1 cargo test -q
 
 echo "==> cargo test -q (UOF_REACH_INDEX=1, posting-list index enabled)"
 UOF_REACH_INDEX=1 cargo test -q
+
+echo "==> reach-kernel sweep (fbsim-population suite incl. the row-oracle proptest, UOF_THREADS=1 and default)"
+UOF_THREADS=1 cargo test -q -p fbsim-population
+cargo test -q -p fbsim-population
 
 echo "==> router smoke sweep (sharded mode bit-identity, UOF_THREADS=1 and default)"
 UOF_THREADS=1 cargo test -q -p reach-api --test router
