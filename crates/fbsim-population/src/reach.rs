@@ -146,9 +146,20 @@ pub struct ReachEngine<'a> {
 /// updating and contribute nothing to deeper prefixes (the freeze-and-drop
 /// contract in the module docs), exactly as in the one-shot sweep and the
 /// scalar path.
+///
+/// Only the in-filter users' products are stored, in user order: a
+/// filtered-out user's product is `0.0` from the start and the kernel never
+/// updates it, so it reads back as `0.0`. A memoized sweep over a few
+/// countries then costs 8 bytes per in-filter user rather than per panel
+/// user, and the slots handed back to the kernel are the same bits.
 #[derive(Debug, Clone)]
 pub struct SweepState {
+    /// Panel size the state was built over.
+    len: usize,
+    /// The in-filter users' running products, in user order.
     products: Vec<f64>,
+    /// `starts[c]` indexes chunk `c`'s first product in `products`.
+    starts: Vec<usize>,
     filter: CountryFilter,
     depth: usize,
 }
@@ -167,6 +178,36 @@ impl SweepState {
     /// Heap footprint of the state in bytes (for cache capacity accounting).
     pub fn heap_bytes(&self) -> usize {
         self.products.len() * std::mem::size_of::<f64>()
+            + self.starts.len() * std::mem::size_of::<usize>()
+    }
+
+    /// Appends the next chunk's products: `slots` for users whose
+    /// countries are `countries`.
+    fn push_chunk(&mut self, countries: &[u16], slots: &[f64]) {
+        self.starts.push(self.products.len());
+        for (&country, &product) in countries.iter().zip(slots) {
+            if self.filter.contains(country) {
+                self.products.push(product);
+            } else {
+                debug_assert_eq!(product.to_bits(), 0, "filtered-out users stay at 0.0");
+            }
+        }
+    }
+
+    /// Chunk `chunk`'s dense products, for users whose countries are
+    /// `countries`.
+    fn slots(&self, chunk: usize, countries: &[u16]) -> Vec<f64> {
+        let mut products = self.products[self.starts[chunk]..].iter();
+        countries
+            .iter()
+            .map(|&c| {
+                if self.filter.contains(c) {
+                    products.next().copied().unwrap_or(0.0)
+                } else {
+                    0.0
+                }
+            })
+            .collect()
     }
 }
 
@@ -302,7 +343,15 @@ impl<'a> ReachEngine<'a> {
     /// starting products. The state is what a prefix-memoizing cache stores
     /// so a sweep extending an already-seen prefix only pays for the tail.
     pub fn sweep_begin(&self, filter: CountryFilter) -> SweepState {
-        SweepState { products: self.filter_products(0, self.panel.len(), filter), filter, depth: 0 }
+        let n = self.panel.len();
+        let mut state =
+            SweepState { len: n, products: Vec::new(), starts: Vec::new(), filter, depth: 0 };
+        for c in 0..self.chunk_count() {
+            let (lo, hi) = self.chunk_range(c);
+            state
+                .push_chunk(&self.panel.countries()[lo..hi], &self.filter_products(lo, hi, filter));
+        }
+        state
     }
 
     /// Folds `tail` into a sweep, returning the scaled reach of each newly
@@ -316,22 +365,30 @@ impl<'a> ReachEngine<'a> {
     /// interest id is outside the catalog.
     pub fn sweep_extend(&self, state: &SweepState, tail: &[InterestId]) -> (Vec<f64>, SweepState) {
         let n = self.panel.len();
-        assert_eq!(state.products.len(), n, "sweep state does not match this panel");
+        assert_eq!(state.len, n, "sweep state does not match this panel");
         if tail.is_empty() {
             return (Vec::new(), state.clone());
         }
         let _span =
             uof_telemetry::span!("engine.sweep_extend", depth = state.depth(), tail = tail.len(),);
-        let per_chunk =
-            self.sweep_chunks(tail, &self.all_chunks(), |lo, hi| state.products[lo..hi].to_vec());
-        let mut products = Vec::with_capacity(n);
+        let countries = self.panel.countries();
+        let per_chunk = self.sweep_chunks(tail, &self.all_chunks(), |lo, hi| {
+            state.slots(lo / CHUNK_USERS, &countries[lo..hi])
+        });
+        let mut next = SweepState {
+            len: n,
+            products: Vec::with_capacity(state.products.len()),
+            starts: Vec::with_capacity(state.starts.len()),
+            filter: state.filter,
+            depth: state.depth + tail.len(),
+        };
         let mut partials = Vec::with_capacity(per_chunk.len());
-        for (acc, slots) in per_chunk {
-            products.extend_from_slice(&slots);
+        for (c, (acc, slots)) in per_chunk.into_iter().enumerate() {
+            let (lo, hi) = self.chunk_range(c);
+            next.push_chunk(&countries[lo..hi], &slots);
             partials.push(acc);
         }
         let sums = fold_chunks(partials, tail.len());
-        let next = SweepState { products, filter: state.filter, depth: state.depth + tail.len() };
         (self.scaled(sums), next)
     }
 
@@ -421,6 +478,11 @@ impl<'a> ReachEngine<'a> {
     /// Every chunk index, ascending.
     fn all_chunks(&self) -> Vec<usize> {
         (0..self.chunk_count()).collect()
+    }
+
+    /// The users `lo..hi` of chunk `c`.
+    fn chunk_range(&self, c: usize) -> (usize, usize) {
+        (c * CHUNK_USERS, ((c + 1) * CHUNK_USERS).min(self.panel.len()))
     }
 
     /// Multiplies unscaled sums by the panel scale.
@@ -709,6 +771,33 @@ mod tests {
     }
 
     #[test]
+    fn sweep_state_stores_only_in_filter_products() {
+        let (catalog, panel) = engine_fixture();
+        let engine = ReachEngine::new(&catalog, &panel);
+        let filter = CountryFilter::of(&[0, 3, 17]);
+        let in_filter = panel.countries().iter().filter(|&&c| filter.contains(c)).count();
+        assert!(0 < in_filter && in_filter < panel.len() / 2, "fixture filter must be selective");
+        let starts = engine.chunk_count() * std::mem::size_of::<usize>();
+        let state = engine.sweep_begin(filter);
+        assert_eq!(state.heap_bytes(), in_filter * 8 + starts);
+        let (_, state) = engine.sweep_extend(&state, &[InterestId(5), InterestId(77)]);
+        assert_eq!(state.heap_bytes(), in_filter * 8 + starts);
+        // Filtered-out users read back as 0.0, in-filter ones as stored.
+        let mut stored = state.products.iter();
+        for c in 0..engine.chunk_count() {
+            let (lo, hi) = engine.chunk_range(c);
+            let countries = &panel.countries()[lo..hi];
+            for (&country, slot) in countries.iter().zip(state.slots(c, countries)) {
+                match filter.contains(country) {
+                    true => assert_eq!(slot.to_bits(), stored.next().unwrap().to_bits()),
+                    false => assert_eq!(slot.to_bits(), 0),
+                }
+            }
+        }
+        assert!(stored.next().is_none());
+    }
+
+    #[test]
     fn sweep_empty_tail_is_identity() {
         let (catalog, panel) = engine_fixture();
         let engine = ReachEngine::new(&catalog, &panel);
@@ -828,7 +917,9 @@ mod tests {
         let (catalog, panel) = engine_fixture();
         let engine = ReachEngine::new(&catalog, &panel);
         let state = SweepState {
-            products: vec![1.0; panel.len() + 1],
+            len: panel.len() + 1,
+            products: Vec::new(),
+            starts: Vec::new(),
             filter: CountryFilter::ALL,
             depth: 0,
         };

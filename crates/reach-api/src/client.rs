@@ -152,6 +152,11 @@ pub struct ReachClient {
     /// The server-timing block echoed on the most recent response that
     /// carried one (only trace-context-tagged requests are echoed).
     last_server_timing: Option<ServerTiming>,
+    /// Socket read buffer, reused by every read. Sized for a full
+    /// pipelined response batch (the server answers a 64-deep batch with
+    /// one write of ~10 KiB when timing echoes are on); a smaller buffer
+    /// splits that into extra read syscalls.
+    read_buf: Box<[u8]>,
     /// Maximum rate-limit retries per request.
     pub max_retries: u32,
     /// Upper bound on any single backoff sleep. Server-suggested waits are
@@ -181,6 +186,7 @@ impl ReachClient {
             trace_labels: Vec::new(),
             pending_spans: Vec::new(),
             last_server_timing: None,
+            read_buf: vec![0; 16384].into_boxed_slice(),
             max_retries: 8,
             max_backoff: DEFAULT_MAX_BACKOFF,
         })
@@ -548,10 +554,6 @@ impl ReachClient {
     }
 
     fn read_response(&mut self) -> Result<(Option<u64>, ReachResponse), ClientError> {
-        // Sized for a full pipelined response batch (the server answers a
-        // 64-deep batch with one write of ~10 KiB when timing echoes are
-        // on); a smaller buffer splits that into extra read syscalls.
-        let mut buf = [0u8; 16384];
         loop {
             if let Some(frame) = self.codec.next_frame()? {
                 let ResponseFrame { id, server_timing, response } = decode_response_frame(&frame)?;
@@ -561,7 +563,7 @@ impl ReachClient {
                 }
                 return Ok((id, response));
             }
-            let n = match self.stream.read(&mut buf) {
+            let n = match self.stream.read(&mut self.read_buf) {
                 Ok(n) => n,
                 Err(e) => {
                     // The request this read served is being abandoned, but
@@ -579,7 +581,7 @@ impl ReachClient {
             if n == 0 {
                 return Err(ClientError::Disconnected);
             }
-            self.codec.feed(&buf[..n]);
+            self.codec.feed(&self.read_buf[..n]);
         }
     }
 }

@@ -1,12 +1,22 @@
 //! Wire protocol: versioned JSON messages, newline-delimited.
 //!
 //! One request per line, one response per line, UTF-8 JSON. The framing
-//! codec accumulates bytes (via [`bytes::BytesMut`]) and yields complete
-//! frames; partial lines stay buffered, oversized lines are rejected — the
-//! classic pitfalls the framing chapter of the Tokio guide warns about,
-//! handled explicitly.
+//! codec accumulates bytes and yields complete frames; partial lines stay
+//! buffered, oversized lines are rejected — the classic pitfalls the framing
+//! chapter of the Tokio guide warns about, handled explicitly.
+//!
+//! Every frame goes through one hand-written codec ([`Message`]). The
+//! encoder writes straight into the output buffer, byte for byte what
+//! `serde_json` renders for the same value; the serde derives on the
+//! protocol types remain only as that reference. The decoder reads each
+//! message's closed key set directly from the frame in one linear pass, in
+//! any key order, with any whitespace, escapes and unknown keys. It builds
+//! no intermediate value tree, recurses no deeper than the schema's fixed
+//! shape, skips unknown values iteratively under [`MAX_DEPTH`], and refuses
+//! a frame with a typed [`FrameError`].
 
-use bytes::{Buf, BytesMut};
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 use uof_telemetry::TraceContext;
 
@@ -278,13 +288,41 @@ pub enum ReachResponse {
     },
 }
 
-/// Errors from the framing codec.
+/// Errors from the framing codec and the message decoder.
+///
+/// Every way a frame can be refused has its own variant; all of them render
+/// as `malformed frame: …` except [`FrameError::Oversized`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
     /// A line exceeded [`MAX_FRAME`] before its newline arrived.
     Oversized,
-    /// A complete frame was not valid UTF-8 JSON of the expected type.
+    /// The frame is not JSON, or not the message's shape: a syntax error,
+    /// a missing required key, an unknown `kind`, a fixed-length array of
+    /// the wrong length, or a serde error from a `stats`/`registry`
+    /// payload.
     Malformed(String),
+    /// A key's value has the wrong JSON type.
+    WrongType {
+        /// The offending key.
+        key: &'static str,
+        /// What the key's value must be.
+        expected: &'static str,
+    },
+    /// An integer does not fit the key's integer type.
+    Overflow {
+        /// The offending key.
+        key: &'static str,
+    },
+    /// A string is not valid Unicode: raw bytes that are not UTF-8, or a
+    /// `\u` escape naming a lone surrogate.
+    InvalidUtf8 {
+        /// Byte offset of the offending sequence in the frame.
+        at: usize,
+    },
+    /// A key of the message's schema appears twice in one object.
+    DuplicateKey(&'static str),
+    /// Containers nest deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl std::fmt::Display for FrameError {
@@ -292,6 +330,17 @@ impl std::fmt::Display for FrameError {
         match self {
             FrameError::Oversized => write!(f, "frame exceeds {MAX_FRAME} bytes"),
             FrameError::Malformed(m) => write!(f, "malformed frame: {m}"),
+            FrameError::WrongType { key, expected } => {
+                write!(f, "malformed frame: `{key}` must be {expected}")
+            }
+            FrameError::Overflow { key } => {
+                write!(f, "malformed frame: `{key}` overflows its integer type")
+            }
+            FrameError::InvalidUtf8 { at } => {
+                write!(f, "malformed frame: invalid UTF-8 or lone surrogate at byte {at}")
+            }
+            FrameError::DuplicateKey(key) => write!(f, "malformed frame: duplicate key `{key}`"),
+            FrameError::TooDeep => write!(f, "malformed frame: nesting deeper than {MAX_DEPTH}"),
         }
     }
 }
@@ -300,13 +349,18 @@ impl std::error::Error for FrameError {}
 
 /// Newline-delimited frame accumulator.
 ///
-/// The newline scan is incremental: bytes checked by a previous
-/// [`FrameCodec::next_frame`] are never rescanned, so trickle-fed input
-/// (one TCP segment at a time) costs O(total bytes), not O(n²).
+/// Popping a frame costs O(frame): popped bytes are only skipped by a
+/// consume cursor, and the buffer drops them in one compaction at the next
+/// [`FrameCodec::feed`]. The newline scan is incremental too: bytes checked
+/// by a previous [`FrameCodec::next_frame`] are never rescanned, so
+/// trickle-fed input (one TCP segment at a time) costs O(total bytes), not
+/// O(n²).
 #[derive(Debug, Default)]
 pub struct FrameCodec {
-    buffer: BytesMut,
-    /// Prefix of `buffer` already known to contain no newline.
+    buffer: Vec<u8>,
+    /// Prefix of `buffer` holding frames already popped.
+    consumed: usize,
+    /// Bytes after `consumed` already known to contain no newline.
     scanned: usize,
 }
 
@@ -318,6 +372,8 @@ impl FrameCodec {
 
     /// Feeds received bytes into the buffer.
     pub fn feed(&mut self, data: &[u8]) {
+        self.buffer.drain(..self.consumed);
+        self.consumed = 0;
         self.buffer.extend_from_slice(data);
     }
 
@@ -329,18 +385,19 @@ impl FrameCodec {
     /// [`MAX_FRAME`] — whether its newline has already arrived or not; the
     /// connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        if let Some(off) = self.buffer[self.scanned..].iter().position(|&b| b == b'\n') {
+        let rest = &self.buffer[self.consumed..];
+        if let Some(off) = rest[self.scanned..].iter().position(|&b| b == b'\n') {
             let pos = self.scanned + off;
             self.scanned = 0;
             if pos > MAX_FRAME {
                 return Err(FrameError::Oversized);
             }
-            let mut frame = self.buffer.split_to(pos + 1);
-            frame.truncate(pos); // drop the newline
-            return Ok(Some(frame.to_vec()));
+            let frame = rest[..pos].to_vec();
+            self.consumed += pos + 1;
+            return Ok(Some(frame));
         }
-        self.scanned = self.buffer.len();
-        if self.buffer.len() > MAX_FRAME {
+        self.scanned = rest.len();
+        if rest.len() > MAX_FRAME {
             return Err(FrameError::Oversized);
         }
         Ok(None)
@@ -348,7 +405,7 @@ impl FrameCodec {
 
     /// Bytes currently buffered (for tests and diagnostics).
     pub fn buffered(&self) -> usize {
-        self.buffer.remaining()
+        self.buffer.len() - self.consumed
     }
 
     /// Bytes already scanned for a newline — the incremental-scan cursor
@@ -358,30 +415,44 @@ impl FrameCodec {
     }
 }
 
-/// Encodes a serialisable message as one frame (JSON + newline).
-pub fn encode<T: Serialize>(message: &T) -> Vec<u8> {
-    // lint:allow(no-unwrap) — invariant: protocol types contain no non-serialisable values
-    let mut line = serde_json::to_vec(message).expect("protocol types serialise");
-    line.push(b'\n');
-    line
+/// A protocol message with a wire form: [`ReachRequest`] and
+/// [`ReachResponse`].
+pub trait Message: Sized {
+    /// Appends the message's JSON object, without a newline, to `out`.
+    fn write_json(&self, out: &mut Vec<u8>);
+
+    /// Decodes one frame; whitespace around the object is allowed.
+    ///
+    /// # Errors
+    ///
+    /// A typed [`FrameError`] saying why the frame was refused.
+    fn read_json(frame: &[u8]) -> Result<Self, FrameError>;
+}
+
+/// Encodes a message as one frame (JSON + newline).
+pub fn encode<T: Message>(message: &T) -> Vec<u8> {
+    let mut out = Vec::with_capacity(256);
+    message.write_json(&mut out);
+    out.push(b'\n');
+    out
 }
 
 /// Decodes one frame into a message.
 ///
 /// # Errors
 ///
-/// [`FrameError::Malformed`] with the serde error text.
-pub fn decode<T: for<'de> Deserialize<'de>>(frame: &[u8]) -> Result<T, FrameError> {
-    serde_json::from_slice(frame).map_err(|e| FrameError::Malformed(e.to_string()))
+/// A typed [`FrameError`] saying why the frame was refused.
+pub fn decode<T: Message>(frame: &[u8]) -> Result<T, FrameError> {
+    T::read_json(frame)
 }
 
 /// Where a request's server-side time went, echoed on the response of any
 /// request that carried a [`TraceContext`].
 ///
 /// All figures are nanoseconds of server wall clock for this one frame.
-/// Purely observational — it is spliced into the response frame the same
-/// way the pipelining id is, so clients that never sent a context receive
-/// byte-identical frames with no tracing keys at all.
+/// Purely observational — it rides in the response frame's envelope the
+/// same way the pipelining id does, so clients that never sent a context
+/// receive byte-identical frames with no tracing keys at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerTiming {
     /// Time the decoded frame waited behind earlier frames of the same
@@ -397,61 +468,8 @@ pub struct ServerTiming {
     pub engine_ns: u64,
 }
 
-impl Serialize for ServerTiming {
-    fn to_value(&self) -> serde::Value {
-        // Compact wire form, mirroring the trace-context pair: a fixed
-        // four-element array instead of a named object. The echo rides on
-        // every traced response, so its bytes are warm-path bytes — the
-        // array form is a third the size of the named one.
-        serde::Value::Array(vec![
-            serde::Value::U64(self.queue_ns),
-            serde::Value::U64(self.handler_ns),
-            serde::Value::U64(u64::from(self.cache_hit)),
-            serde::Value::U64(self.engine_ns),
-        ])
-    }
-}
-
-impl<'de> Deserialize<'de> for ServerTiming {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::Array(items) if items.len() == 4 => Ok(ServerTiming {
-                queue_ns: u64::from_value(&items[0])?,
-                handler_ns: u64::from_value(&items[1])?,
-                cache_hit: u64::from_value(&items[2])? != 0,
-                engine_ns: u64::from_value(&items[3])?,
-            }),
-            // Named-object form accepted for hand-written frames and
-            // pre-compaction peers.
-            serde::Value::Object(_) => Ok(ServerTiming {
-                queue_ns: u64::from_value(serde::field(value, "queue_ns")?)?,
-                handler_ns: u64::from_value(serde::field(value, "handler_ns")?)?,
-                cache_hit: bool::from_value(serde::field(value, "cache_hit")?)?,
-                engine_ns: u64::from_value(serde::field(value, "engine_ns")?)?,
-            }),
-            other => Err(serde::Error::msg(format!(
-                "expected [queue_ns, handler_ns, cache_hit, engine_ns] or a \
-                 server-timing object, got {other:?}"
-            ))),
-        }
-    }
-}
-
-/// Probe for the optional spliced response extensions: decodes any
-/// response object while ignoring every other key, so the body can be
-/// decoded separately as a plain [`ReachResponse`].
-#[derive(Deserialize)]
-struct ExtensionsProbe {
-    #[serde(default)]
-    id: Option<u64>,
-    #[serde(default)]
-    st: Option<ServerTiming>,
-    #[serde(default)]
-    server_timing: Option<ServerTiming>,
-}
-
-/// A decoded response frame: the body plus the optional spliced
-/// extensions (pipelining id, server-timing echo).
+/// A decoded response frame: the body plus the optional envelope keys
+/// (pipelining id, server-timing echo).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResponseFrame {
     /// Echoed pipelining id, when the request carried one.
@@ -463,46 +481,206 @@ pub struct ResponseFrame {
 }
 
 /// Encodes a response frame, echoing the request's pipelining id and — for
-/// requests that sent a trace context — the server-timing block. Both ride
-/// as extra keys spliced into the response object: internally-tagged
-/// decoding ignores unknown keys, so pre-id clients still decode the
-/// frame, and requests without the extensions get byte-identical v1
-/// frames (no tracing bytes ever reach a client that didn't opt in).
+/// requests that sent a trace context — the server-timing block.
+///
+/// Both ride as extra keys at the front of the response object, as
+/// `"id":N,` and `"st":[queue_ns,handler_ns,cache_hit 0|1,engine_ns],`.
+/// Decoders ignore unknown keys, so pre-id clients still read the body,
+/// and a request without the extensions gets the v1 frame byte for byte
+/// (no tracing bytes ever reach a client that didn't opt in).
 pub fn encode_response_frame(
     id: Option<u64>,
     timing: Option<&ServerTiming>,
     response: &ReachResponse,
 ) -> Vec<u8> {
-    let line = encode(response);
-    if id.is_none() && timing.is_none() {
-        return line;
+    let mut out = Vec::with_capacity(256);
+    write_response(&mut out, id, timing, response);
+    out.push(b'\n');
+    out
+}
+
+// ---------------------------------------------------------------- encoder
+//
+// The byte shape is `serde_json`'s rendering of the serde derives: keys in
+// declaration order, `None` as `null`, no whitespace, and strings escaped
+// exactly as its writer does.
+
+impl Message for ReachRequest {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"v\":");
+        push_u64(out, u64::from(self.v));
+        out.extend_from_slice(b",\"locations\":[");
+        for (i, location) in self.locations.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            push_string(out, location);
+        }
+        out.extend_from_slice(b"],\"interests\":");
+        push_u32s(out, &self.interests);
+        out.extend_from_slice(b",\"nested\":");
+        push_opt_bool(out, self.nested);
+        out.extend_from_slice(b",\"stats\":");
+        push_opt_bool(out, self.stats);
+        out.extend_from_slice(b",\"snapshot\":");
+        push_opt_bool(out, self.snapshot);
+        out.extend_from_slice(b",\"sampled\":");
+        push_opt_bool(out, self.sampled);
+        out.extend_from_slice(b",\"id\":");
+        match self.id {
+            Some(id) => push_u64(out, id),
+            None => out.extend_from_slice(b"null"),
+        }
+        out.extend_from_slice(b",\"shard\":");
+        push_opt_bool(out, self.shard);
+        out.extend_from_slice(b",\"trace\":");
+        match self.trace {
+            Some(t) => {
+                out.push(b'[');
+                push_u64(out, t.trace_id);
+                out.push(b',');
+                push_u64(out, t.parent_span_id);
+                out.push(b']');
+            }
+            None => out.extend_from_slice(b"null"),
+        }
+        out.push(b'}');
     }
-    debug_assert_eq!(line.first(), Some(&b'{'));
-    // The splice is assembled by hand rather than through `format!`: it
-    // rides on every pipelined response (and every traced one), and the
-    // fmt machinery plus its per-extension allocations measurably tax the
-    // warm path. The exact byte shape produced here is what
-    // `decode_spliced_fast` pattern-matches on the client side.
-    let mut out = Vec::with_capacity(line.len() + 112);
+
+    fn read_json(frame: &[u8]) -> Result<Self, FrameError> {
+        read_request(frame)
+    }
+}
+
+impl Message for ReachResponse {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_response(out, None, None, self);
+    }
+
+    /// Decodes the body of a response frame; the envelope keys are
+    /// validated and dropped (see [`decode_response_frame`]).
+    fn read_json(frame: &[u8]) -> Result<Self, FrameError> {
+        decode_response_frame(frame).map(|f| f.response)
+    }
+}
+
+fn write_response(
+    out: &mut Vec<u8>,
+    id: Option<u64>,
+    timing: Option<&ServerTiming>,
+    response: &ReachResponse,
+) {
     out.push(b'{');
     if let Some(id) = id {
         out.extend_from_slice(b"\"id\":");
-        push_u64(&mut out, id);
+        push_u64(out, id);
         out.push(b',');
     }
     if let Some(t) = timing {
         out.extend_from_slice(b"\"st\":[");
-        push_u64(&mut out, t.queue_ns);
+        push_u64(out, t.queue_ns);
         out.push(b',');
-        push_u64(&mut out, t.handler_ns);
+        push_u64(out, t.handler_ns);
         out.push(b',');
         out.push(if t.cache_hit { b'1' } else { b'0' });
         out.push(b',');
-        push_u64(&mut out, t.engine_ns);
+        push_u64(out, t.engine_ns);
         out.extend_from_slice(b"],");
     }
-    out.extend_from_slice(&line[1..]);
-    out
+    match response {
+        ReachResponse::Reach { reported, floored, too_narrow_warning } => {
+            out.extend_from_slice(b"\"kind\":\"reach\",");
+            push_point(out, *reported, *floored, *too_narrow_warning);
+        }
+        ReachResponse::RateLimited { retry_after_ms } => {
+            out.extend_from_slice(b"\"kind\":\"rate_limited\",\"retry_after_ms\":");
+            push_u64(out, *retry_after_ms);
+        }
+        ReachResponse::Error { message } => {
+            out.extend_from_slice(b"\"kind\":\"error\",\"message\":");
+            push_string(out, message);
+        }
+        ReachResponse::Nested { reaches } => {
+            out.extend_from_slice(b"\"kind\":\"nested\",\"reaches\":[");
+            for (i, p) in reaches.iter().enumerate() {
+                out.extend_from_slice(if i > 0 { b",{" } else { b"{" });
+                push_point(out, p.reported, p.floored, p.too_narrow_warning);
+                out.push(b'}');
+            }
+            out.push(b']');
+        }
+        ReachResponse::Stats { stats } => {
+            out.extend_from_slice(b"\"kind\":\"stats\",\"stats\":");
+            push_serde(out, stats);
+        }
+        ReachResponse::StatsSnapshot { registry } => {
+            out.extend_from_slice(b"\"kind\":\"stats_snapshot\",\"registry\":");
+            push_serde(out, registry);
+        }
+        ReachResponse::SampledReach { reported, floored, too_narrow_warning } => {
+            out.extend_from_slice(b"\"kind\":\"sampled_reach\",");
+            push_point(out, *reported, *floored, *too_narrow_warning);
+        }
+        ReachResponse::ShardPartials { generation, chunks, values } => {
+            out.extend_from_slice(b"\"kind\":\"shard_partials\",\"generation\":");
+            push_u64(out, *generation);
+            out.extend_from_slice(b",\"chunks\":");
+            push_u32s(out, chunks);
+            out.extend_from_slice(b",\"values\":[");
+            for (i, row) in values.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                out.push(b'[');
+                for (j, &v) in row.iter().enumerate() {
+                    if j > 0 {
+                        out.push(b',');
+                    }
+                    push_u64(out, v);
+                }
+                out.push(b']');
+            }
+            out.push(b']');
+        }
+    }
+    out.push(b'}');
+}
+
+/// The three fields of a reach report, in [`ReachPoint`] order.
+fn push_point(out: &mut Vec<u8>, reported: u64, floored: bool, too_narrow_warning: bool) {
+    out.extend_from_slice(b"\"reported\":");
+    push_u64(out, reported);
+    out.extend_from_slice(if floored { b",\"floored\":true" } else { b",\"floored\":false" });
+    out.extend_from_slice(if too_narrow_warning {
+        b",\"too_narrow_warning\":true"
+    } else {
+        b",\"too_narrow_warning\":false"
+    });
+}
+
+/// A serde-encoded payload (the rare `stats` and `registry` bodies).
+fn push_serde<T: Serialize>(out: &mut Vec<u8>, value: &T) {
+    // lint:allow(no-unwrap) — invariant: serde_json::to_vec never fails on a value tree
+    out.extend_from_slice(&serde_json::to_vec(value).expect("payload serialises"));
+}
+
+fn push_opt_bool(out: &mut Vec<u8>, value: Option<bool>) {
+    out.extend_from_slice(match value {
+        None => b"null",
+        Some(true) => b"true",
+        Some(false) => b"false",
+    });
+}
+
+fn push_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    out.push(b'[');
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_u64(out, u64::from(v));
+    }
+    out.push(b']');
 }
 
 /// Appends `n` in decimal ASCII.
@@ -520,99 +698,762 @@ fn push_u64(out: &mut Vec<u8>, mut n: u64) {
     out.extend_from_slice(&digits[i..]);
 }
 
-/// Consumes `lit` at `pos`, returning the position after it.
-fn eat(frame: &[u8], pos: usize, lit: &[u8]) -> Option<usize> {
-    frame[pos..].starts_with(lit).then_some(pos + lit.len())
-}
-
-/// Whether `needle` occurs anywhere in `hay`.
-fn contains(hay: &[u8], needle: &[u8]) -> bool {
-    hay.windows(needle.len()).any(|w| w == needle)
-}
-
-/// Parses a decimal `u64` starting at `pos` (at least one digit, no
-/// overflow), returning the value and the position after it.
-fn scan_u64(frame: &[u8], mut pos: usize) -> Option<(u64, usize)> {
-    let start = pos;
-    let mut n: u64 = 0;
-    while let Some(&b @ b'0'..=b'9') = frame.get(pos) {
-        n = n.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
-        pos += 1;
-    }
-    (pos > start).then_some((n, pos))
-}
-
-/// Fast path for frames our own [`encode_response_frame`] produced: the
-/// extensions are spliced at the front of the object in a fixed order and
-/// byte shape, so they can be stripped with one linear scan and the body
-/// parsed by serde exactly once — instead of the general path's two full
-/// parses (extension probe + body), which costs real time on every
-/// pipelined warm-cache response. Any frame that doesn't match the shape
-/// (no extensions, different key order, whitespace, an overflowing digit
-/// run) returns `None` and takes the general path; behaviour is identical
-/// either way.
-fn decode_spliced_fast(frame: &[u8]) -> Option<ResponseFrame> {
-    let mut pos = eat(frame, 0, b"{")?;
-    let mut id = None;
-    if let Some(p) = eat(frame, pos, b"\"id\":") {
-        let (n, p) = scan_u64(frame, p)?;
-        pos = eat(frame, p, b",")?;
-        id = Some(n);
-    }
-    let mut server_timing = None;
-    if let Some(p) = eat(frame, pos, b"\"st\":[") {
-        let (queue_ns, p) = scan_u64(frame, p)?;
-        let p = eat(frame, p, b",")?;
-        let (handler_ns, p) = scan_u64(frame, p)?;
-        let p = eat(frame, p, b",")?;
-        let (cache_hit, p) = match frame.get(p) {
-            Some(b'0') => (false, p + 1),
-            Some(b'1') => (true, p + 1),
-            _ => return None,
+/// Appends `s` as a JSON string: `"`, `\` and control characters escaped
+/// (short forms where JSON has them, `\u00xx` otherwise), everything else
+/// copied in runs.
+fn push_string(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let unicode;
+        let short: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0x08 => b"\\b",
+            0x0c => b"\\f",
+            0..=0x1f => {
+                unicode =
+                    [b'\\', b'u', b'0', b'0', HEX[usize::from(b >> 4)], HEX[usize::from(b & 15)]];
+                &unicode
+            }
+            _ => continue,
         };
-        let p = eat(frame, p, b",")?;
-        let (engine_ns, p) = scan_u64(frame, p)?;
-        pos = eat(frame, p, b"],")?;
-        server_timing = Some(ServerTiming { queue_ns, handler_ns, cache_hit, engine_ns });
+        out.extend_from_slice(&bytes[run..i]);
+        out.extend_from_slice(short);
+        run = i + 1;
     }
-    if id.is_none() && server_timing.is_none() {
-        return None;
-    }
-    // The remainder must immediately open the body's first key; anything
-    // else (whitespace, a second splice) is not our server's byte shape.
-    if frame.get(pos) != Some(&b'"') {
-        return None;
-    }
-    // The general path extracts extension keys from *anywhere* in the
-    // object; bail out if one could still be lurking in the remainder so
-    // the two paths can never disagree (a false hit inside a string value
-    // merely costs the fallback parse).
-    let rest = &frame[pos..];
-    if contains(rest, b"\"id\":")
-        || contains(rest, b"\"st\":")
-        || contains(rest, b"\"server_timing\":")
-    {
-        return None;
-    }
-    let mut body = Vec::with_capacity(frame.len() + 1 - pos);
-    body.push(b'{');
-    body.extend_from_slice(&frame[pos..]);
-    let response = decode::<ReachResponse>(&body).ok()?;
-    Some(ResponseFrame { id, server_timing, response })
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
-/// Decodes a response frame into its body and optional extensions.
+// ---------------------------------------------------------------- decoder
+//
+// Accepts what `serde_json` over the serde derives accepts: any key order,
+// JSON whitespace between tokens, escaped strings, unknown keys with any
+// value, `null` for an absent optional key, and serde_json's number forms
+// (`1.0`, `1e3` and `-0` are whole numbers). It refuses, with a typed
+// error, duplicate keys of the schema and integers past `u64::MAX`, both
+// of which serde_json resolves silently (the first key wins; the number
+// saturates through `f64`).
+
+/// Deepest container nesting a frame may contain, the outermost object
+/// being depth 1 (the vendored `serde_json` parser's limit). The schema
+/// itself needs 3; deeper input can only sit under unknown keys or in a
+/// `stats`/`registry` payload.
+pub const MAX_DEPTH: usize = serde_json::MAX_DEPTH;
+
+type Decoded<T> = Result<T, FrameError>;
+
+/// 2^64: the smallest whole `f64` that no `u64` holds.
+const U64_LIMIT: f64 = 18_446_744_073_709_551_616.0;
+
+const INTEGER: &str = "a non-negative integer";
+
+fn wrong(key: &'static str, expected: &'static str) -> FrameError {
+    FrameError::WrongType { key, expected }
+}
+
+fn missing(key: &'static str) -> FrameError {
+    FrameError::Malformed(format!("missing key `{key}`"))
+}
+
+/// A number token, classified.
+enum Number {
+    /// Digits only, with an optional minus sign; `None` on `u64` overflow.
+    Int { negative: bool, value: Option<u64> },
+    /// Anything with a fraction or an exponent.
+    Float(f64),
+}
+
+/// A cursor over one frame. Readers of a value start on its first byte;
+/// whitespace is skipped by the container that holds it.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
+        }
+    }
+
+    /// Consumes `byte` if it comes next.
+    fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.peek() == Some(byte);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Consumes `word` if it comes next.
+    fn literal(&mut self, word: &[u8]) -> bool {
+        let hit = self.bytes[self.pos..].starts_with(word);
+        if hit {
+            self.pos += word.len();
+        }
+        hit
+    }
+
+    fn syntax(&self, expected: &str) -> FrameError {
+        FrameError::Malformed(match self.peek() {
+            Some(b) => format!("expected {expected} at byte {}, found {:?}", self.pos, b as char),
+            None => format!("expected {expected} at byte {}, found end of frame", self.pos),
+        })
+    }
+
+    fn require(&mut self, byte: u8, what: &str) -> Decoded<()> {
+        if self.eat(byte) {
+            Ok(())
+        } else {
+            Err(self.syntax(what))
+        }
+    }
+
+    /// Reads the frame's one top-level object with `read`, then requires
+    /// the end of the frame.
+    fn frame(&mut self, read: impl FnOnce(&mut Self) -> Decoded<()>) -> Decoded<()> {
+        self.ws();
+        if self.peek() != Some(b'{') {
+            return Err(self.syntax("a JSON object"));
+        }
+        read(self)?;
+        self.ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.syntax("end of frame"))
+        }
+    }
+
+    /// Reads an object, handing each key to `field`, which must consume
+    /// the key's value.
+    fn object(&mut self, mut field: impl FnMut(&mut Self, &[u8]) -> Decoded<()>) -> Decoded<()> {
+        self.require(b'{', "`{`")?;
+        self.ws();
+        if self.eat(b'}') {
+            return Ok(());
+        }
+        loop {
+            let key = self.key()?;
+            field(self, key.as_bytes())?;
+            self.ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                    self.ws();
+                }
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(self.syntax("`,` or `}`")),
+            }
+        }
+    }
+
+    /// Reads `"key" :` and the whitespace after it.
+    fn key(&mut self) -> Decoded<Cow<'a, str>> {
+        if self.peek() != Some(b'"') {
+            return Err(self.syntax("a key"));
+        }
+        let key = self.string()?;
+        self.ws();
+        self.require(b':', "`:`")?;
+        self.ws();
+        Ok(key)
+    }
+
+    /// Reads an array, handing each element to `item`, which must consume
+    /// it.
+    fn array(&mut self, mut item: impl FnMut(&mut Self) -> Decoded<()>) -> Decoded<()> {
+        self.require(b'[', "`[`")?;
+        self.ws();
+        if self.eat(b']') {
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            self.ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                    self.ws();
+                }
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(self.syntax("`,` or `]`")),
+            }
+        }
+    }
+
+    /// Reads a string, borrowed from the frame unless it holds escapes.
+    /// Plain runs are validated as UTF-8 and copied whole, so a string
+    /// costs O(its length).
+    fn string(&mut self) -> Decoded<Cow<'a, str>> {
+        let bytes: &'a [u8] = self.bytes;
+        self.pos += 1; // the opening quote
+        let mut owned: Option<String> = None;
+        loop {
+            let rest = &bytes[self.pos..];
+            let Some(end) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+                return Err(FrameError::Malformed("unterminated string".into()));
+            };
+            let run = std::str::from_utf8(&rest[..end])
+                .map_err(|e| FrameError::InvalidUtf8 { at: self.pos + e.valid_up_to() })?;
+            self.pos += end + 1;
+            if rest[end] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut s) => {
+                        s.push_str(run);
+                        Cow::Owned(s)
+                    }
+                });
+            }
+            let s = owned.get_or_insert_with(String::new);
+            s.push_str(run);
+            self.escape(s)?;
+        }
+    }
+
+    /// Decodes the escape after a backslash into `out`.
+    fn escape(&mut self, out: &mut String) -> Decoded<()> {
+        let at = self.pos - 1;
+        let Some(c) = self.peek() else { return Err(self.syntax("an escape")) };
+        self.pos += 1;
+        out.push(match c {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{08}',
+            b'f' => '\u{0c}',
+            b'u' => {
+                let unit = u32::from(self.hex4()?);
+                let code = if (0xD800..0xDC00).contains(&unit) {
+                    // A high surrogate: its low half must follow.
+                    if !self.literal(b"\\u") {
+                        return Err(FrameError::InvalidUtf8 { at });
+                    }
+                    let low = u32::from(self.hex4()?);
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(FrameError::InvalidUtf8 { at });
+                    }
+                    0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+                } else {
+                    unit
+                };
+                char::from_u32(code).ok_or(FrameError::InvalidUtf8 { at })?
+            }
+            _ => {
+                self.pos -= 1;
+                return Err(self.syntax("an escape"));
+            }
+        });
+        Ok(())
+    }
+
+    /// The four hex digits of a `\u` escape, read with the same
+    /// `from_str_radix` call as the vendored serde_json parser.
+    fn hex4(&mut self) -> Decoded<u16> {
+        let unit = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .and_then(|digits| std::str::from_utf8(digits).ok())
+            .and_then(|digits| u16::from_str_radix(digits, 16).ok())
+            .ok_or_else(|| self.syntax("four hex digits"))?;
+        self.pos += 4;
+        Ok(unit)
+    }
+
+    /// Scans a number token with serde_json's grammar: an optional minus,
+    /// digits, an optional fraction and an optional exponent, valid when it
+    /// is an integer or parses as an `f64`.
+    fn number(&mut self) -> Decoded<Number> {
+        let start = self.pos;
+        let negative = self.eat(b'-');
+        let mut value = Some(0u64);
+        let digits_from = self.pos;
+        while let Some(b @ b'0'..=b'9') = self.peek() {
+            value = value.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(b - b'0')));
+            self.pos += 1;
+        }
+        let digits = self.pos - digits_from;
+        let mut integral = true;
+        if self.eat(b'.') {
+            integral = false;
+            self.digits();
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            integral = false;
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits();
+        }
+        if integral && digits > 0 {
+            return Ok(Number::Int { negative, value });
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        text.parse::<f64>()
+            .map(Number::Float)
+            .map_err(|_| FrameError::Malformed(format!("invalid number `{text}` at byte {start}")))
+    }
+
+    fn digits(&mut self) {
+        while let Some(b'0'..=b'9') = self.peek() {
+            self.pos += 1;
+        }
+    }
+
+    /// Skips one value of any type, validating it as strictly as the typed
+    /// readers do. Iterative: `depth` counts the containers already open
+    /// around the value, and opening one past [`MAX_DEPTH`] is an error.
+    fn skip_value(&mut self, depth: usize) -> Decoded<()> {
+        // Bit `k` says whether the `k`-th container opened here is an
+        // object; MAX_DEPTH ≤ 128 keeps the whole stack in one word.
+        let mut objects: u128 = 0;
+        let mut open = 0usize;
+        loop {
+            match self.peek() {
+                Some(c @ (b'{' | b'[')) => {
+                    if depth + open >= MAX_DEPTH {
+                        return Err(FrameError::TooDeep);
+                    }
+                    self.pos += 1;
+                    self.ws();
+                    let object = c == b'{';
+                    if object {
+                        objects |= 1 << open;
+                    } else {
+                        objects &= !(1 << open);
+                    }
+                    if !self.eat(if object { b'}' } else { b']' }) {
+                        open += 1;
+                        if object {
+                            self.key()?;
+                        }
+                        continue;
+                    }
+                }
+                Some(b'"') => {
+                    self.string()?;
+                }
+                Some(b'-' | b'0'..=b'9') => {
+                    self.number()?;
+                }
+                _ => {
+                    if !(self.literal(b"null") || self.literal(b"true") || self.literal(b"false")) {
+                        return Err(self.syntax("a value"));
+                    }
+                }
+            }
+            // A value ended: close containers until one has a next member.
+            loop {
+                if open == 0 {
+                    return Ok(());
+                }
+                self.ws();
+                let object = objects >> (open - 1) & 1 == 1;
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        self.ws();
+                        if object {
+                            self.key()?;
+                        }
+                        break;
+                    }
+                    Some(b'}') if object => {
+                        self.pos += 1;
+                        open -= 1;
+                    }
+                    Some(b']') if !object => {
+                        self.pos += 1;
+                        open -= 1;
+                    }
+                    _ => return Err(self.syntax(if object { "`,` or `}`" } else { "`,` or `]`" })),
+                }
+            }
+        }
+    }
+
+    /// Reads a whole non-negative number for `key`: serde_json's forms
+    /// (`7`, `-0`, `7.0`, `7e0`), refusing anything past `u64::MAX`.
+    fn u64(&mut self, key: &'static str) -> Decoded<u64> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(wrong(key, INTEGER));
+        }
+        match self.number()? {
+            Number::Int { negative: false, value: Some(n) }
+            | Number::Int { value: Some(n @ 0), .. } => Ok(n),
+            Number::Int { negative: false, value: None } => Err(FrameError::Overflow { key }),
+            Number::Float(f) if f.is_finite() && f.trunc() == f && f >= 0.0 => {
+                if f < U64_LIMIT {
+                    Ok(f as u64)
+                } else {
+                    Err(FrameError::Overflow { key })
+                }
+            }
+            _ => Err(wrong(key, INTEGER)),
+        }
+    }
+
+    fn u32(&mut self, key: &'static str) -> Decoded<u32> {
+        u32::try_from(self.u64(key)?).map_err(|_| FrameError::Overflow { key })
+    }
+
+    /// `null` as `None`, anything else through `read`.
+    fn nullable<T>(&mut self, read: impl FnOnce(&mut Self) -> Decoded<T>) -> Decoded<Option<T>> {
+        if self.literal(b"null") {
+            Ok(None)
+        } else {
+            read(self).map(Some)
+        }
+    }
+
+    fn bool(&mut self, key: &'static str) -> Decoded<bool> {
+        if self.literal(b"true") {
+            Ok(true)
+        } else if self.literal(b"false") {
+            Ok(false)
+        } else {
+            Err(wrong(key, "a boolean"))
+        }
+    }
+
+    fn owned_string(&mut self, key: &'static str) -> Decoded<String> {
+        if self.peek() != Some(b'"') {
+            return Err(wrong(key, "a string"));
+        }
+        Ok(self.string()?.into_owned())
+    }
+
+    /// Reads an array for `key`, one element at a time.
+    fn list<T>(
+        &mut self,
+        key: &'static str,
+        mut item: impl FnMut(&mut Self) -> Decoded<T>,
+    ) -> Decoded<Vec<T>> {
+        if self.peek() != Some(b'[') {
+            return Err(wrong(key, "an array"));
+        }
+        let mut items = Vec::new();
+        self.array(|r| {
+            items.push(item(r)?);
+            Ok(())
+        })?;
+        Ok(items)
+    }
+
+    /// Reads an array of exactly `N` integers for `key`.
+    fn u64s<const N: usize>(&mut self, key: &'static str) -> Decoded<[u64; N]> {
+        let items = self.list(key, |r| r.u64(key))?;
+        let got = items.len();
+        <[u64; N]>::try_from(items)
+            .map_err(|_| FrameError::Malformed(format!("`{key}` needs {N} elements, got {got}")))
+    }
+
+    /// Reads a top-level variant field with `read`. A refused read keeps
+    /// its error for later, since the frame's `kind` decides whether the
+    /// field matters; the value is then validated as JSON, so a syntax
+    /// error still refuses the frame.
+    fn slot<T>(&mut self, read: impl FnOnce(&mut Self) -> Decoded<T>) -> Decoded<Slot<T>> {
+        let start = self.pos;
+        match read(self) {
+            Ok(value) => Ok(Some(Ok(value))),
+            Err(e) => {
+                self.pos = start;
+                self.skip_value(1)?;
+                Ok(Some(Err(e)))
+            }
+        }
+    }
+
+    /// The raw bytes of one top-level value, validated as JSON.
+    fn raw_value(&mut self) -> Decoded<&'a [u8]> {
+        let start = self.pos;
+        self.skip_value(1)?;
+        Ok(&self.bytes[start..self.pos])
+    }
+
+    /// A response's `kind` tag.
+    fn kind(&mut self) -> Decoded<Kind> {
+        if self.peek() != Some(b'"') {
+            return Err(wrong("kind", "a string"));
+        }
+        Ok(match &*self.string()? {
+            "reach" => Kind::Reach,
+            "rate_limited" => Kind::RateLimited,
+            "error" => Kind::Error,
+            "nested" => Kind::Nested,
+            "stats" => Kind::Stats,
+            "stats_snapshot" => Kind::StatsSnapshot,
+            "sampled_reach" => Kind::SampledReach,
+            "shard_partials" => Kind::ShardPartials,
+            other => return Err(FrameError::Malformed(format!("unknown kind `{other}`"))),
+        })
+    }
+
+    /// Reads an object whose known keys are `names`, handing each to
+    /// `read`, which must consume its value; other keys are skipped (the
+    /// object sits at `depth`). A known key given twice refuses the frame,
+    /// and so does a missing one among the first `required`.
+    fn fields(
+        &mut self,
+        names: &[&'static str],
+        required: usize,
+        depth: usize,
+        mut read: impl FnMut(&mut Self, &'static str) -> Decoded<()>,
+    ) -> Decoded<()> {
+        let mut seen = 0u32;
+        self.object(|r, key| {
+            let Some(k) = names.iter().position(|name| name.as_bytes() == key) else {
+                return r.skip_value(depth);
+            };
+            if seen & 1 << k != 0 {
+                return Err(FrameError::DuplicateKey(names[k]));
+            }
+            seen |= 1 << k;
+            read(r, names[k])
+        })?;
+        match (0..required).find(|&k| seen & 1 << k == 0) {
+            Some(k) => Err(missing(names[k])),
+            None => Ok(()),
+        }
+    }
+
+    /// A trace context whose container sits at `depth`:
+    /// `[trace_id, parent_span_id]`, the named object, or `null`.
+    fn trace(&mut self, depth: usize) -> Decoded<Option<TraceContext>> {
+        let mut t = TraceContext { trace_id: 0, parent_span_id: 0 };
+        match self.peek() {
+            Some(b'[') => [t.trace_id, t.parent_span_id] = self.u64s::<2>("trace")?,
+            Some(b'{') => self.fields(&["trace_id", "parent_span_id"], 2, depth, |r, key| {
+                match key {
+                    "trace_id" => t.trace_id = r.u64(key)?,
+                    _ => t.parent_span_id = r.u64(key)?,
+                }
+                Ok(())
+            })?,
+            _ if self.literal(b"null") => return Ok(None),
+            _ => return Err(wrong("trace", "[trace_id, parent_span_id], an object or null")),
+        }
+        Ok(Some(t))
+    }
+
+    /// A server-timing echo for `key`, its container at `depth`: the
+    /// compact `[queue_ns, handler_ns, cache_hit, engine_ns]` (a nonzero
+    /// `cache_hit` is a hit), the named object, or `null`.
+    fn timing(&mut self, key: &'static str, depth: usize) -> Decoded<Option<ServerTiming>> {
+        let mut t = ServerTiming { queue_ns: 0, handler_ns: 0, cache_hit: false, engine_ns: 0 };
+        match self.peek() {
+            Some(b'[') => {
+                let [queue_ns, handler_ns, hit, engine_ns] = self.u64s::<4>(key)?;
+                t = ServerTiming { queue_ns, handler_ns, cache_hit: hit != 0, engine_ns };
+            }
+            Some(b'{') => {
+                let names = ["queue_ns", "handler_ns", "cache_hit", "engine_ns"];
+                self.fields(&names, 4, depth, |r, key| {
+                    match key {
+                        "queue_ns" => t.queue_ns = r.u64(key)?,
+                        "handler_ns" => t.handler_ns = r.u64(key)?,
+                        "cache_hit" => t.cache_hit = r.bool(key)?,
+                        _ => t.engine_ns = r.u64(key)?,
+                    }
+                    Ok(())
+                })?;
+            }
+            _ if self.literal(b"null") => return Ok(None),
+            _ => return Err(wrong(key, "a server-timing array, an object or null")),
+        }
+        Ok(Some(t))
+    }
+
+    /// One [`ReachPoint`] object of a nested answer (depth 3).
+    fn point(&mut self) -> Decoded<ReachPoint> {
+        if self.peek() != Some(b'{') {
+            return Err(wrong("reaches", "an array of objects"));
+        }
+        let mut p = ReachPoint { reported: 0, floored: false, too_narrow_warning: false };
+        self.fields(&["reported", "floored", "too_narrow_warning"], 3, 3, |r, key| {
+            match key {
+                "reported" => p.reported = r.u64(key)?,
+                "floored" => p.floored = r.bool(key)?,
+                _ => p.too_narrow_warning = r.bool(key)?,
+            }
+            Ok(())
+        })?;
+        Ok(p)
+    }
+}
+
+/// The request's keys; the first three are required.
+const REQUEST_KEYS: [&str; 10] = [
+    "v",
+    "locations",
+    "interests",
+    "nested",
+    "stats",
+    "snapshot",
+    "sampled",
+    "id",
+    "shard",
+    "trace",
+];
+
+fn read_request(frame: &[u8]) -> Decoded<ReachRequest> {
+    let mut request = ReachRequest::scalar(Vec::new(), Vec::new());
+    let mut r = Reader { bytes: frame, pos: 0 };
+    r.frame(|r| {
+        r.fields(&REQUEST_KEYS, 3, 1, |r, key| {
+            match key {
+                "v" => request.v = r.u32(key)?,
+                "locations" => request.locations = r.list(key, |r| r.owned_string(key))?,
+                "interests" => request.interests = r.list(key, |r| r.u32(key))?,
+                "nested" => request.nested = r.nullable(|r| r.bool(key))?,
+                "stats" => request.stats = r.nullable(|r| r.bool(key))?,
+                "snapshot" => request.snapshot = r.nullable(|r| r.bool(key))?,
+                "sampled" => request.sampled = r.nullable(|r| r.bool(key))?,
+                "id" => request.id = r.nullable(|r| r.u64(key))?,
+                "shard" => request.shard = r.nullable(|r| r.bool(key))?,
+                _ => request.trace = r.trace(2)?,
+            }
+            Ok(())
+        })
+    })?;
+    Ok(request)
+}
+
+/// A response's `kind` tag.
+#[derive(Clone, Copy)]
+enum Kind {
+    Reach,
+    RateLimited,
+    Error,
+    Nested,
+    Stats,
+    StatsSnapshot,
+    SampledReach,
+    ShardPartials,
+}
+
+/// A variant field, read before the frame's `kind` is known: missing, read,
+/// or refused with an error that counts only if `kind` selects the field.
+type Slot<T> = Option<Decoded<T>>;
+
+fn need<T>(slot: Slot<T>, key: &'static str) -> Decoded<T> {
+    slot.unwrap_or_else(|| Err(missing(key)))
+}
+
+/// Decodes a serde-encoded `stats`/`registry` payload.
+fn payload<T: for<'de> Deserialize<'de>>(span: Option<&[u8]>, key: &'static str) -> Decoded<T> {
+    let span = span.ok_or_else(|| missing(key))?;
+    serde_json::from_slice(span).map_err(|e| FrameError::Malformed(format!("`{key}`: {e}")))
+}
+
+/// The envelope keys, `kind`, and every variant's fields.
+const RESPONSE_KEYS: [&str; 15] = [
+    "id",
+    "st",
+    "server_timing",
+    "kind",
+    "reported",
+    "floored",
+    "too_narrow_warning",
+    "retry_after_ms",
+    "message",
+    "reaches",
+    "stats",
+    "registry",
+    "generation",
+    "chunks",
+    "values",
+];
+
+/// Decodes a response frame into its body and optional envelope keys.
+///
+/// The timing echo is read from `st` or, failing that, from
+/// `server_timing`, each as the compact array or the named object.
 ///
 /// # Errors
 ///
-/// [`FrameError::Malformed`] with the serde error text.
+/// A typed [`FrameError`] saying why the frame was refused.
 pub fn decode_response_frame(frame: &[u8]) -> Result<ResponseFrame, FrameError> {
-    if let Some(parsed) = decode_spliced_fast(frame) {
-        return Ok(parsed);
-    }
-    let probe: ExtensionsProbe = decode(frame)?;
-    let response: ReachResponse = decode(frame)?;
-    Ok(ResponseFrame { id: probe.id, server_timing: probe.st.or(probe.server_timing), response })
+    let (mut id, mut st, mut server_timing, mut kind) = (None, None, None, None);
+    let (mut reported, mut floored, mut too_narrow_warning): (Slot<u64>, Slot<bool>, Slot<bool>) =
+        (None, None, None);
+    let (mut retry_after_ms, mut generation): (Slot<u64>, Slot<u64>) = (None, None);
+    let mut message: Slot<String> = None;
+    let mut reaches: Slot<Vec<ReachPoint>> = None;
+    let mut chunks: Slot<Vec<u32>> = None;
+    let mut values: Slot<Vec<Vec<u64>>> = None;
+    let (mut stats, mut registry) = (None, None);
+    let mut r = Reader { bytes: frame, pos: 0 };
+    r.frame(|r| {
+        r.fields(&RESPONSE_KEYS, 0, 1, |r, key| {
+            match key {
+                "id" => id = r.nullable(|r| r.u64(key))?,
+                "st" => st = r.timing(key, 2)?,
+                "server_timing" => server_timing = r.timing(key, 2)?,
+                "kind" => kind = Some(r.kind()?),
+                "reported" => reported = r.slot(|r| r.u64(key))?,
+                "floored" => floored = r.slot(|r| r.bool(key))?,
+                "too_narrow_warning" => too_narrow_warning = r.slot(|r| r.bool(key))?,
+                "retry_after_ms" => retry_after_ms = r.slot(|r| r.u64(key))?,
+                "message" => message = r.slot(|r| r.owned_string(key))?,
+                "reaches" => reaches = r.slot(|r| r.list(key, Reader::point))?,
+                "stats" => stats = Some(r.raw_value()?),
+                "registry" => registry = Some(r.raw_value()?),
+                "generation" => generation = r.slot(|r| r.u64(key))?,
+                "chunks" => chunks = r.slot(|r| r.list(key, |r| r.u32(key)))?,
+                _ => values = r.slot(|r| r.list(key, |r| r.list(key, |r| r.u64(key))))?,
+            }
+            Ok(())
+        })
+    })?;
+    let response = match kind.ok_or_else(|| missing("kind"))? {
+        Kind::Reach => ReachResponse::Reach {
+            reported: need(reported, "reported")?,
+            floored: need(floored, "floored")?,
+            too_narrow_warning: need(too_narrow_warning, "too_narrow_warning")?,
+        },
+        Kind::RateLimited => {
+            ReachResponse::RateLimited { retry_after_ms: need(retry_after_ms, "retry_after_ms")? }
+        }
+        Kind::Error => ReachResponse::Error { message: need(message, "message")? },
+        Kind::Nested => ReachResponse::Nested { reaches: need(reaches, "reaches")? },
+        Kind::Stats => ReachResponse::Stats { stats: payload(stats, "stats")? },
+        Kind::StatsSnapshot => {
+            ReachResponse::StatsSnapshot { registry: payload(registry, "registry")? }
+        }
+        Kind::SampledReach => ReachResponse::SampledReach {
+            reported: need(reported, "reported")?,
+            floored: need(floored, "floored")?,
+            too_narrow_warning: need(too_narrow_warning, "too_narrow_warning")?,
+        },
+        Kind::ShardPartials => ReachResponse::ShardPartials {
+            generation: need(generation, "generation")?,
+            chunks: need(chunks, "chunks")?,
+            values: need(values, "values")?,
+        },
+    };
+    Ok(ResponseFrame { id, server_timing: st.or(server_timing), response })
 }
 
 #[cfg(test)]
@@ -745,7 +1586,7 @@ mod tests {
         assert_eq!(decoded.id, Some(7));
         assert_eq!(decoded.server_timing, None);
         assert_eq!(decoded.response, response);
-        // A pre-id decoder ignores the spliced key entirely.
+        // A pre-id decoder ignores the envelope key entirely.
         let old: ReachResponse = decode(&frame[..frame.len() - 1]).unwrap();
         assert_eq!(old, response);
         // And an id-less v1 frame decodes with id None.
@@ -783,52 +1624,33 @@ mod tests {
     }
 
     #[test]
-    fn spliced_fast_path_agrees_with_general_decode() {
-        let response =
+    fn envelope_keys_decode_in_any_order_and_form() {
+        let body =
             ReachResponse::Reach { reported: 9_000, floored: true, too_narrow_warning: false };
-        let timing = ServerTiming {
-            queue_ns: 5,
-            handler_ns: u64::MAX,
-            cache_hit: false,
-            engine_ns: 1_234_567_890,
-        };
-        // Every splice combination our server can emit decodes identically
-        // through the fast path and the two-parse probe path.
-        for (id, timing) in
-            [(Some(7), Some(&timing)), (Some(u64::MAX), None), (None, Some(&timing)), (None, None)]
-        {
-            let frame = encode_response_frame(id, timing, &response);
-            let frame = &frame[..frame.len() - 1];
-            let fast = decode_spliced_fast(frame);
-            let probe: ExtensionsProbe = decode(frame).unwrap();
-            let body: ReachResponse = decode(frame).unwrap();
-            let general = ResponseFrame {
-                id: probe.id,
-                server_timing: probe.st.or(probe.server_timing),
-                response: body,
-            };
-            if id.is_some() || timing.is_some() {
-                assert_eq!(fast.as_ref(), Some(&general));
-            } else {
-                assert_eq!(fast, None, "extension-free frames take the general path");
-            }
-            assert_eq!(decode_response_frame(frame).unwrap(), general);
-        }
-        // Extensions in an order our server never produces: the fast path
-        // must bail (not silently drop the out-of-place key) and the
-        // general path still extracts both.
-        let reordered = br#"{"server_timing":{"queue_ns":1,"handler_ns":2,"cache_hit":true,"engine_ns":3},"id":7,"kind":"reach","reported":9000,"floored":true,"too_narrow_warning":false}"#;
-        assert_eq!(decode_spliced_fast(reordered), None);
-        let decoded = decode_response_frame(reordered).unwrap();
-        assert_eq!(decoded.id, Some(7));
+        let timing = ServerTiming { queue_ns: 1, handler_ns: 2, cache_hit: true, engine_ns: 3 };
+        // Our own byte shape: envelope first, compact timing.
+        let ours = encode_response_frame(Some(7), Some(&timing), &body);
+        assert!(ours.starts_with(b"{\"id\":7,\"st\":[1,2,1,3],\"kind\":\"reach\","));
+        let expected = ResponseFrame { id: Some(7), server_timing: Some(timing), response: body };
+        assert_eq!(decode_response_frame(&ours).unwrap(), expected);
+        // Keys reordered, the named timing form, whitespace everywhere.
+        let reordered = br#"{"kind":"reach","server_timing":{"queue_ns":1,"handler_ns":2,"cache_hit":true,"engine_ns":3},"reported":9000,"id":7,"floored":true,"too_narrow_warning":false}"#;
+        assert_eq!(decode_response_frame(reordered).unwrap(), expected);
+        let spaced = b" {\t\"id\" : 7 ,\r\n \"st\": [ 1 , 2 , 5 , 3 ] , \"kind\" : \"reach\", \"reported\":9000,\"floored\":true,\"too_narrow_warning\":false } \n";
+        assert_eq!(decode_response_frame(spaced).unwrap(), expected, "nonzero cache_hit is a hit");
+        // `st` wins over `server_timing` when both are present.
+        let both = br#"{"server_timing":[9,9,0,9],"st":[1,2,1,3],"id":7,"kind":"reach","reported":9000,"floored":true,"too_narrow_warning":false}"#;
+        assert_eq!(decode_response_frame(both).unwrap(), expected);
+        // Keys of other variants are ignored whatever their type.
+        let stray = br#"{"kind":"reach","reported":9000,"floored":true,"too_narrow_warning":false,"message":5,"reaches":"x","id":7,"st":[1,2,1,3]}"#;
+        assert_eq!(decode_response_frame(stray).unwrap(), expected);
+        // ...but the chosen variant's own keys are typed.
+        let typed =
+            br#"{"kind":"reach","reported":"9000","floored":true,"too_narrow_warning":false}"#;
         assert_eq!(
-            decoded.server_timing,
-            Some(ServerTiming { queue_ns: 1, handler_ns: 2, cache_hit: true, engine_ns: 3 })
+            decode_response_frame(typed),
+            Err(FrameError::WrongType { key: "reported", expected: INTEGER })
         );
-        // Whitespace (not our byte shape) also falls back — and decodes.
-        let spaced = br#"{"id": 7, "kind": "reach", "reported": 9000, "floored": true, "too_narrow_warning": false}"#;
-        assert_eq!(decode_spliced_fast(spaced), None);
-        assert_eq!(decode_response_frame(spaced).unwrap().id, Some(7));
     }
 
     #[test]

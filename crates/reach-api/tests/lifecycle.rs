@@ -12,7 +12,11 @@
 //!   request;
 //! * backoff cap — the default client ceiling used to truncate
 //!   server-suggested waits (covered at the unit level in `client.rs`; the
-//!   observable default is asserted here).
+//!   observable default is asserted here);
+//! * hostile frames — the request decoder recursed once per nesting level,
+//!   so one 64 KiB frame of `[` overflowed a connection thread's stack and
+//!   aborted the whole process, and it re-validated the rest of the frame
+//!   for every string character (a 60 KB string cost ~130 ms of CPU).
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -24,7 +28,10 @@ use reach_api::proto::{
     decode, decode_response_frame, encode, FrameCodec, ReachRequest, ResponseFrame,
 };
 use reach_api::server::{RateLimitConfig, ServerConfig};
-use reach_api::{ClientError, ReachClient, ReachResponse, ReachServer, DEFAULT_MAX_BACKOFF};
+use reach_api::{
+    ClientError, ReachClient, ReachResponse, ReachRouter, ReachServer, RouterConfig,
+    DEFAULT_MAX_BACKOFF,
+};
 use reach_cache::CacheConfig;
 
 fn test_world() -> Arc<World> {
@@ -351,4 +358,70 @@ fn pipeline_retries_rate_limited_slots_to_completion() {
         }
     }
     assert_eq!(server.requests_served(), 12);
+}
+
+/// Sends one hostile frame on a fresh raw connection and returns what came
+/// back: `Some(response)` for an answer frame, `None` if the peer closed
+/// the connection without one.
+fn send_hostile(addr: std::net::SocketAddr, frame: &[u8]) -> Option<ReachResponse> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream.write_all(frame).unwrap();
+    stream.write_all(b"\n").unwrap();
+    let mut codec = FrameCodec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(frame) = codec.next_frame().unwrap() {
+            return Some(decode_response_frame(&frame).unwrap().response);
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return None,
+            Ok(n) => codec.feed(&buf[..n]),
+        }
+    }
+}
+
+#[test]
+fn hostile_frames_cannot_abort_the_process_or_starve_other_connections() {
+    use fbsim_population::index::IndexConfig;
+    use fbsim_population::ShardSpec;
+    use reach_api::proto::MAX_FRAME;
+
+    let server = start_server(ServerConfig::default());
+    let backend = start_server(ServerConfig {
+        shard: Some(ShardSpec { index: 0, count: 1 }),
+        index: IndexConfig::enabled(),
+        ..ServerConfig::default()
+    });
+    let router =
+        ReachRouter::start(test_world(), vec![backend.addr()], RouterConfig::default()).unwrap();
+
+    let brackets = vec![b'['; MAX_FRAME];
+    let mut nested = br#"{"v":1,"locations":["US"],"interests":[0],"x":"#.to_vec();
+    nested.resize(MAX_FRAME, b'[');
+    let long_string =
+        format!(r#"{{"v":1,"locations":["{}"],"interests":[0]}}"#, "A".repeat(60_000));
+    let hostile: [(&str, &[u8]); 3] = [
+        ("64 KiB of `[`", &brackets),
+        ("64 KiB of `[` under an unknown key", &nested),
+        ("one 60 KB string", long_string.as_bytes()),
+    ];
+    for (hop, addr) in [("server", server.addr()), ("router", router.addr())] {
+        for (name, frame) in hostile {
+            let started = Instant::now();
+            match send_hostile(addr, frame) {
+                None | Some(ReachResponse::Error { .. }) => {}
+                Some(other) => panic!("{hop}, {name}: expected an error frame, got {other:?}"),
+            }
+            // The process survived, and the next connection is answered.
+            let mut client = ReachClient::connect(addr).unwrap();
+            let answer = client.potential_reach(&["US"], &[0]).unwrap();
+            assert!(answer.reported >= 20, "{hop}, {name}: {answer:?}");
+            assert!(
+                started.elapsed() < Duration::from_secs(20),
+                "{hop}, {name}: took {:?}",
+                started.elapsed()
+            );
+        }
+    }
 }

@@ -14,7 +14,11 @@
 # cache, telemetry, or index behaviour construct explicit configs and are
 # immune to the sweeps. The per-crate sweeps below run suites the root
 # `cargo test` does not reach: the reach kernel (`fbsim-population`,
-# including its row-at-a-time oracle), the router and the marketplace.
+# including its row-at-a-time oracle), the whole `reach-api` suite (unit
+# tests plus lifecycle, loopback, proptests — the wire codec's differential
+# check against serde_json — router and telemetry), the vendored
+# `serde_json` parser's own tests (outside the workspace), and the
+# marketplace.
 #
 # Each step fails fast; run from anywhere inside the repo.
 set -euo pipefail
@@ -58,9 +62,12 @@ echo "==> reach-kernel sweep (fbsim-population suite incl. the row-oracle propte
 UOF_THREADS=1 cargo test -q -p fbsim-population
 cargo test -q -p fbsim-population
 
-echo "==> router smoke sweep (sharded mode bit-identity, UOF_THREADS=1 and default)"
-UOF_THREADS=1 cargo test -q -p reach-api --test router
-cargo test -q -p reach-api --test router
+echo "==> reach-api sweep (wire codec, server, client, router; UOF_THREADS=1 and default)"
+UOF_THREADS=1 cargo test -q -p reach-api
+cargo test -q -p reach-api
+
+echo "==> vendored serde_json parser (depth cap, linear-time strings)"
+cargo test -q --offline --manifest-path vendor/serde_json/Cargo.toml
 
 echo "==> traced smoke sweep (UOF_TELEMETRY=1 + trace path; trace-report must reconstruct >= 1 complete trace)"
 TRACE_JSONL="$(mktemp)"
