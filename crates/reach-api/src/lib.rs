@@ -9,11 +9,16 @@
 //! networked, rate-limited client/server interaction. This crate reproduces
 //! that split so the pipeline exercises real sockets (loopback in tests):
 //!
-//! * [`proto`] — versioned request/response types and the newline-delimited
-//!   JSON framing codec (built on `bytes`).
-//! * [`server`] — a thread-per-connection `std::net` TCP server over a
-//!   shared [`fbsim_population::World`], applying the reporting floor
-//!   server-side and throttling each connection with a token bucket.
+//! * [`proto`] — versioned request/response types, the [`Op`] each
+//!   request's flags decode to, and the newline-delimited JSON framing
+//!   codec (a hand-written encoder and decoder over `std` buffers).
+//! * `serve` (private) — the serving core both tiers run on: one acceptor
+//!   (thread per connection) and one generic `serve_connection` that owns
+//!   the pipelined read/drain/write loop, the per-connection token bucket,
+//!   per-opcode telemetry, the timing echo and request validation.
+//! * [`server`] — the single-node tier over a shared
+//!   [`fbsim_population::World`]: engine, query cache and posting-list
+//!   index, with the reporting floor applied server-side.
 //! * [`client`] — a blocking client with exponential backoff on
 //!   rate-limit responses and a [`ReachClient::pipeline`] batch API that
 //!   writes N id-tagged frames before reading N responses.
@@ -40,9 +45,10 @@
 pub mod client;
 pub mod proto;
 pub mod router;
+mod serve;
 pub mod server;
 
 pub use client::{ClientError, ClientReach, ReachClient, ShardPartials, DEFAULT_MAX_BACKOFF};
-pub use proto::{ReachPoint, ReachRequest, ReachResponse};
+pub use proto::{Op, QueryKind, ReachPoint, ReachRequest, ReachResponse};
 pub use router::{ReachRouter, RouterConfig};
 pub use server::{RateLimitConfig, ReachServer, ServerConfig, MAX_RETRY_BACKOFF};

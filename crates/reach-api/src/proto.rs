@@ -199,6 +199,60 @@ impl ReachRequest {
         self.trace = trace;
         self
     }
+
+    /// The request's opcode, decoded once from its flag fields. Precedence:
+    /// `snapshot`, then `stats` (both ignore every other flag), then the
+    /// query flags, where `nested` with `sampled` names no opcode and is
+    /// refused; `shard` composes with any query kind.
+    ///
+    /// # Errors
+    ///
+    /// The refusal message when both `nested` and `sampled` are set.
+    pub fn op(&self) -> Result<Op, &'static str> {
+        if self.snapshot == Some(true) {
+            return Ok(Op::Snapshot);
+        }
+        if self.stats == Some(true) {
+            return Ok(Op::Stats);
+        }
+        let kind = match (self.nested == Some(true), self.sampled == Some(true)) {
+            (true, true) => return Err("nested and sampled are mutually exclusive"),
+            (true, false) => QueryKind::Nested,
+            (false, true) => QueryKind::Sampled,
+            (false, false) => QueryKind::Scalar,
+        };
+        Ok(Op::Query { kind, shard: self.shard == Some(true) })
+    }
+}
+
+/// A request's opcode (see [`ReachRequest::op`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// Dump the telemetry registry ([`ReachResponse::StatsSnapshot`]).
+    Snapshot,
+    /// Report the query cache's statistics ([`ReachResponse::Stats`]).
+    Stats,
+    /// A reach query over the request's locations and interests.
+    Query {
+        /// Which reach to compute.
+        kind: QueryKind,
+        /// Answer with raw per-chunk partials
+        /// ([`ReachResponse::ShardPartials`]) instead of a floored report.
+        shard: bool,
+    },
+}
+
+/// The reach a [`Op::Query`] computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryKind {
+    /// One conjunction ([`ReachResponse::Reach`]).
+    Scalar,
+    /// Every prefix of the interests, in request order
+    /// ([`ReachResponse::Nested`]).
+    Nested,
+    /// One conjunction from the posting-list index
+    /// ([`ReachResponse::SampledReach`]).
+    Sampled,
 }
 
 /// One reported prefix reach within a [`ReachResponse::Nested`] answer.
@@ -1462,6 +1516,29 @@ mod tests {
 
     fn request() -> ReachRequest {
         ReachRequest::scalar(vec!["ES".into(), "FR".into()], vec![1, 2, 3])
+    }
+
+    #[test]
+    fn opcode_precedence_is_snapshot_stats_then_query() {
+        let flags = |snapshot, stats, nested, sampled, shard| ReachRequest {
+            snapshot: Some(snapshot),
+            stats: Some(stats),
+            nested: Some(nested),
+            sampled: Some(sampled),
+            shard: Some(shard),
+            ..request()
+        };
+        let query = |kind, shard| Ok(Op::Query { kind, shard });
+        assert_eq!(request().op(), query(QueryKind::Scalar, false));
+        assert_eq!(flags(true, true, true, true, true).op(), Ok(Op::Snapshot));
+        assert_eq!(flags(false, true, true, true, true).op(), Ok(Op::Stats));
+        assert_eq!(
+            flags(false, false, true, true, true).op(),
+            Err("nested and sampled are mutually exclusive")
+        );
+        assert_eq!(flags(false, false, true, false, true).op(), query(QueryKind::Nested, true));
+        assert_eq!(flags(false, false, false, true, false).op(), query(QueryKind::Sampled, false));
+        assert_eq!(flags(false, false, false, false, true).op(), query(QueryKind::Scalar, true));
     }
 
     #[test]

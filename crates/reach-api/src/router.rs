@@ -18,27 +18,18 @@
 //! set whose stamps disagree with each other or with its own world — a
 //! backend serving a stale model answers loudly, not wrongly.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fbsim_adplatform::reach::{AdsManagerApi, ReportingEra};
-use fbsim_adplatform::targeting::TargetingSpec;
-use fbsim_population::countries::CountryCode;
-use fbsim_population::reach::CountryFilter;
-use fbsim_population::{InterestId, World, CHUNK_USERS};
-use parking_lot::Mutex;
-use reach_cache::key::canonical_interests;
+use fbsim_population::{World, CHUNK_USERS};
 use uof_telemetry::{RegistrySnapshot, Telemetry, TelemetryConfig, TraceContext};
 
 use crate::client::{ClientError, ReachClient, ShardPartials};
-use crate::proto::{
-    decode, encode, encode_response_frame, FrameCodec, FrameError, ReachPoint, ReachRequest,
-    ReachResponse, ServerTiming, PROTOCOL_VERSION,
-};
-use crate::server::{saturating_ns, ConnectionMetrics, RateLimitConfig, TokenBucket};
+use crate::proto::{Op, QueryKind, ReachPoint, ReachRequest, ReachResponse};
+use crate::serve::{serve_connection, validate, Acceptor, FrameHandler, TimingProbe};
+use crate::server::RateLimitConfig;
 
 #[cfg(doc)]
 use fbsim_population::shard::{ShardAssignment, ShardSpec};
@@ -71,12 +62,7 @@ impl Default for RouterConfig {
 
 /// A running router front-end.
 pub struct ReachRouter {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    requests_served: Arc<AtomicU64>,
-    handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    telemetry: Option<Arc<Telemetry>>,
+    acceptor: Acceptor,
 }
 
 impl ReachRouter {
@@ -104,327 +90,96 @@ impl ReachRouter {
                 "router needs at least one backend",
             ));
         }
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let requests_served = Arc::new(AtomicU64::new(0));
-        let telemetry = config.telemetry.as_ref().map(|cfg| Arc::new(Telemetry::new(cfg)));
-        let handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let accept_stop = Arc::clone(&stop);
-        let accept_served = Arc::clone(&requests_served);
-        let accept_handles = Arc::clone(&handles);
-        let accept_telemetry = telemetry.clone();
-        let accept_thread = std::thread::spawn(move || {
-            while !accept_stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let world = Arc::clone(&world);
-                        let stop = Arc::clone(&accept_stop);
-                        let served = Arc::clone(&accept_served);
-                        let backends = backends.clone();
-                        let config = config.clone();
-                        let telemetry = accept_telemetry.clone();
-                        let handle = std::thread::spawn(move || {
-                            let telemetry =
-                                telemetry.as_deref().unwrap_or_else(|| uof_telemetry::global());
-                            let _ = handle_connection(
-                                stream, &world, &backends, telemetry, &config, &stop, &served,
-                            );
-                        });
-                        let mut handles = accept_handles.lock();
-                        let (done, live): (Vec<_>, Vec<_>) =
-                            handles.drain(..).partition(|h| h.is_finished());
-                        *handles = live;
-                        drop(handles);
-                        for finished in done {
-                            let _ = finished.join();
-                        }
-                        accept_handles.lock().push(handle);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-            for handle in accept_handles.lock().drain(..) {
-                let _ = handle.join();
-            }
-        });
-        Ok(Self {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            requests_served,
-            handles,
-            telemetry,
-        })
+        let acceptor = Acceptor::start(
+            config.rate_limit,
+            config.write_timeout,
+            config.telemetry.as_ref().map(Telemetry::new),
+            move |conn| {
+                let telemetry = conn.telemetry();
+                let handler =
+                    FanOut::dial(AdsManagerApi::new(&world, config.era), &backends, telemetry);
+                serve_connection(conn, handler)
+            },
+        )?;
+        Ok(Self { acceptor })
     }
 
     /// The bound address clients should connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Requests successfully served (merged) so far.
     pub fn requests_served(&self) -> u64 {
-        self.requests_served.load(Ordering::Relaxed)
+        self.acceptor.served()
     }
 
     /// Number of connection-thread handles currently tracked (see
     /// [`crate::server::ReachServer::connection_handles`]).
     pub fn connection_handles(&self) -> usize {
-        self.handles.lock().len()
+        self.acceptor.connection_handles()
     }
 
     /// The telemetry domain this router records into.
     pub fn telemetry(&self) -> &Telemetry {
-        self.telemetry.as_deref().unwrap_or_else(|| uof_telemetry::global())
+        self.acceptor.telemetry()
     }
 
     /// Stops accepting and joins the accept thread. Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ReachRouter {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.acceptor.shutdown();
     }
 }
 
 impl std::fmt::Debug for ReachRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReachRouter")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .field("requests_served", &self.requests_served())
             .finish_non_exhaustive()
     }
 }
 
-/// Serves one client connection: dials every backend once, then routes
-/// frames until EOF, error, or shutdown. Same pipelined drain-and-batch
-/// loop as the single-node server.
-fn handle_connection(
-    mut stream: TcpStream,
-    world: &World,
-    backends: &[SocketAddr],
-    telemetry: &Telemetry,
-    config: &RouterConfig,
-    stop: &AtomicBool,
-    served: &AtomicU64,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    stream.set_write_timeout(Some(config.write_timeout))?;
-    // See the server: Nagle would stall each response batch behind the
-    // peer's delayed ACK.
-    stream.set_nodelay(true)?;
-    let api = AdsManagerApi::new(world, config.era);
-    // One backend connection set per client connection: fan-outs from
-    // different clients never interleave on a backend socket.
-    let mut clients: Option<Vec<ReachClient>> =
-        backends.iter().map(|&addr| ReachClient::connect(addr)).collect::<Result<Vec<_>, _>>().ok();
-    // Stamp each backend connection with its shard index: every
-    // `client.request` span the fan-out emits then names its shard, so a
-    // reconstructed trace can attribute the critical path to a straggler.
-    if let Some(clients) = clients.as_mut() {
-        for (shard, client) in clients.iter_mut().enumerate() {
+/// The router's [`FrameHandler`]: one per client connection, holding its
+/// own backend connections, so fan-outs from different clients never
+/// interleave on a backend socket.
+struct FanOut<'a> {
+    api: AdsManagerApi<'a>,
+    /// `None` when a backend could not be dialed; queries are then refused.
+    clients: Option<Vec<ReachClient>>,
+    telemetry: &'a Telemetry,
+}
+
+impl<'a> FanOut<'a> {
+    /// Dials every backend once and stamps each backend connection with
+    /// its shard index: every `client.request` span the fan-out emits then
+    /// names its shard, so a reconstructed trace can attribute the critical
+    /// path to a straggler.
+    fn dial(api: AdsManagerApi<'a>, backends: &[SocketAddr], telemetry: &'a Telemetry) -> Self {
+        let mut clients: Option<Vec<ReachClient>> =
+            backends.iter().map(|&addr| ReachClient::connect(addr)).collect::<Result<_, _>>().ok();
+        for (shard, client) in clients.iter_mut().flatten().enumerate() {
             client.label_trace("shard", shard as u64);
         }
+        Self { api, clients, telemetry }
     }
-    let mut codec = FrameCodec::new();
-    let mut bucket = TokenBucket::new(config.rate_limit);
-    let metrics = ConnectionMetrics::new("router.frame");
-    // See the server: sized for a full pipelined batch in one read.
-    let mut buf = [0u8; 16384];
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return Ok(()),
-            Ok(n) => codec.feed(&buf[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-        // Same stamped drain as the single-node server: decode first, so a
-        // frame's measured queue wait covers the time it sat behind earlier
-        // frames of the same pipelined batch.
-        let mut pending: Vec<(Instant, Result<ReachRequest, FrameError>)> = Vec::new();
-        let mut oversized = false;
-        loop {
-            match codec.next_frame() {
-                Ok(Some(frame)) => pending.push((Instant::now(), decode::<ReachRequest>(&frame))),
-                Ok(None) => break,
-                Err(_) => {
-                    telemetry.count("reach.requests.oversized", 1);
-                    oversized = true;
-                    break;
-                }
-            }
-        }
-        let mut out: Vec<u8> = Vec::new();
-        for (decoded_at, parsed) in pending.drain(..) {
-            let (id, timing, response) = match parsed {
-                Err(e) => {
-                    telemetry.count("reach.requests.error", 1);
-                    (None, None, ReachResponse::Error { message: e.to_string() })
-                }
-                Ok(request) => {
-                    let queue_ns = saturating_ns(decoded_at.elapsed());
-                    // Starts at the frame's decode stamp (no extra clock
-                    // read); see the server's frame span.
-                    let frame_span = telemetry
-                        .span_via(&metrics.frame_span)
-                        .child_of(request.trace)
-                        .field("queue_ns", queue_ns.into())
-                        .start_at(decoded_at);
-                    let handler_start = Instant::now();
-                    let response = match bucket.try_take() {
-                        Err(wait) => {
-                            telemetry.count("reach.requests.rate_limited", 1);
-                            ReachResponse::RateLimited {
-                                retry_after_ms: wait.as_millis().max(1) as u64,
-                            }
-                        }
-                        Ok(()) => {
-                            let r = route_instrumented(
-                                &api,
-                                clients.as_mut(),
-                                telemetry,
-                                &metrics,
-                                &request,
-                                frame_span.trace_context(),
-                                handler_start,
-                            );
-                            if !matches!(
-                                r,
-                                ReachResponse::Error { .. } | ReachResponse::RateLimited { .. }
-                            ) {
-                                served.fetch_add(1, Ordering::Relaxed);
-                            }
-                            r
-                        }
-                    };
-                    // The router runs no engine and keeps no query cache;
-                    // its echo carries only the queue/handler split. The
-                    // per-shard engine time lives in the backend hops'
-                    // spans and echoes.
-                    let timing = request.trace.is_some().then(|| ServerTiming {
-                        queue_ns,
-                        handler_ns: saturating_ns(handler_start.elapsed()),
-                        cache_hit: false,
-                        engine_ns: 0,
-                    });
-                    drop(frame_span);
-                    (request.id, timing, response)
-                }
-            };
-            out.extend_from_slice(&encode_response_frame(id, timing.as_ref(), &response));
-        }
-        if oversized {
-            out.extend_from_slice(&encode(&ReachResponse::Error {
-                message: "frame too large".into(),
-            }));
-        }
-        if !out.is_empty() {
-            match stream.write_all(&out) {
-                Ok(()) => {}
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    telemetry.count("reach.connections.write_timeout", 1);
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if oversized {
-            return Ok(());
-        }
-    }
-}
 
-/// Wraps [`route`] in the same per-opcode telemetry shape as the
-/// single-node server, so one dashboard reads both tiers. The handler
-/// span is parented under the `router.frame` span via `parent`, and its
-/// own context flows down to the fan-out so every backend hop lands in
-/// the same trace.
-#[allow(clippy::too_many_arguments)]
-fn route_instrumented(
-    api: &AdsManagerApi<'_>,
-    clients: Option<&mut Vec<ReachClient>>,
-    telemetry: &Telemetry,
-    metrics: &ConnectionMetrics,
-    request: &ReachRequest,
-    parent: Option<TraceContext>,
-    started_at: Instant,
-) -> ReachResponse {
-    if !telemetry.is_enabled() {
-        return route(api, clients, telemetry, request, parent);
-    }
-    let (counter, span_source) = metrics.opcode(telemetry, request);
-    counter.incr();
-    let in_flight = metrics.in_flight(telemetry);
-    in_flight.incr();
-    let response = {
-        let span = telemetry
-            .span_via(span_source)
-            .child_of(parent)
-            .field("locations", request.locations.len().into())
-            .field("interests", request.interests.len().into())
-            .start_at(started_at);
-        route(api, clients, telemetry, request, span.trace_context())
-    };
-    in_flight.decr();
-    if matches!(response, ReachResponse::Error { .. }) {
-        telemetry.registry().counter("reach.requests.error").incr();
-    }
-    response
-}
-
-/// Validates a request, fans it out, and merges the partials.
-fn route(
-    api: &AdsManagerApi<'_>,
-    clients: Option<&mut Vec<ReachClient>>,
-    telemetry: &Telemetry,
-    request: &ReachRequest,
-    parent: Option<TraceContext>,
-) -> ReachResponse {
-    if request.v != PROTOCOL_VERSION {
-        return ReachResponse::Error {
-            message: format!("unsupported protocol version {}", request.v),
-        };
-    }
-    if request.snapshot == Some(true) {
-        // Fleet fan-in: the router's own registry (fan-out spans, merge
-        // counters, the client-facing request mix) plus every backend's
-        // registry folded in under `shard.<i>.`-prefixed names, so one
-        // `telemetry_snapshot()` against the router observes the whole
-        // deployment. A backend that fails to answer is counted (and its
-        // section simply missing) rather than failing the dump.
+    /// Fleet fan-in: the router's own registry (fan-out spans, merge
+    /// counters, the client-facing request mix) plus every backend's
+    /// registry folded in under `shard.<i>.`-prefixed names, so one
+    /// `telemetry_snapshot()` against the router observes the whole
+    /// deployment. A backend that fails to answer is counted (and its
+    /// section simply missing) rather than failing the dump.
+    fn fleet_snapshot(&mut self, parent: Option<TraceContext>) -> ReachResponse {
+        let telemetry = self.telemetry;
         let mut registry = telemetry.snapshot();
-        if let Some(clients) = clients {
-            for (shard, client) in clients.iter_mut().enumerate() {
-                client.set_trace_parent(parent);
-                match client.telemetry_snapshot() {
-                    Ok(snap) => merge_prefixed(&mut registry, shard, snap),
-                    Err(_) => {
-                        if telemetry.is_enabled() {
-                            telemetry.registry().counter("router.snapshot.fanin_errors").incr();
-                        }
+        for (shard, client) in self.clients.iter_mut().flatten().enumerate() {
+            client.set_trace_parent(parent);
+            match client.telemetry_snapshot() {
+                Ok(snap) => merge_prefixed(&mut registry, shard, snap),
+                Err(_) => {
+                    if telemetry.is_enabled() {
+                        telemetry.registry().counter("router.snapshot.fanin_errors").incr();
                     }
                 }
             }
@@ -432,62 +187,38 @@ fn route(
         registry.counters.sort_by(|a, b| a.name.cmp(&b.name));
         registry.gauges.sort_by(|a, b| a.name.cmp(&b.name));
         registry.histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        return ReachResponse::StatsSnapshot { registry };
+        ReachResponse::StatsSnapshot { registry }
     }
-    if request.stats == Some(true) {
-        return ReachResponse::Error {
-            message: "the router keeps no query cache; probe a backend for stats".into(),
+}
+
+impl FrameHandler for FanOut<'_> {
+    const FRAME_SPAN: &'static str = "router.frame";
+    /// The router runs no engine and keeps no query cache; the per-shard
+    /// engine time lives in the backend hops' spans and echoes.
+    const RUNS_ENGINE: bool = false;
+
+    fn answer(
+        &mut self,
+        request: &ReachRequest,
+        op: Op,
+        parent: Option<TraceContext>,
+        _probe: &mut TimingProbe,
+    ) -> Result<ReachResponse, String> {
+        let kind = match op {
+            Op::Snapshot => return Ok(self.fleet_snapshot(parent)),
+            Op::Stats => {
+                return Err("the router keeps no query cache; probe a backend for stats".into())
+            }
+            Op::Query { shard: true, .. } => {
+                return Err("the router is not a shard backend; send scalar/nested/sampled".into())
+            }
+            Op::Query { kind, shard: false } => kind,
         };
-    }
-    if request.shard == Some(true) {
-        return ReachResponse::Error {
-            message: "the router is not a shard backend; send scalar/nested/sampled".into(),
+        validate(request, kind, self.api.world())?;
+        let Some(clients) = self.clients.as_mut() else {
+            return Err("router has no live backend connections".into());
         };
-    }
-    let nested = request.nested == Some(true);
-    let sampled = request.sampled == Some(true);
-    if nested && sampled {
-        return ReachResponse::Error {
-            message: "nested and sampled are mutually exclusive".into(),
-        };
-    }
-    // Mirror the single-node validation exactly, so the router rejects
-    // precisely what a single node would reject — before any backend burns
-    // a fan-out on it.
-    let mut builder = TargetingSpec::builder();
-    for code in &request.locations {
-        let bytes = code.as_bytes();
-        if bytes.len() != 2 || !bytes.iter().all(u8::is_ascii_uppercase) {
-            return ReachResponse::Error { message: format!("bad country code {code:?}") };
-        }
-        builder = builder.location(CountryCode([bytes[0], bytes[1]]));
-    }
-    let interests: Vec<u32> =
-        if nested { request.interests.clone() } else { canonical_interests(&request.interests) };
-    builder = builder.interests(interests.iter().map(|&i| InterestId(i)));
-    let spec = match builder.build() {
-        Ok(spec) => spec,
-        Err(e) => return ReachResponse::Error { message: e.to_string() },
-    };
-    for &id in spec.interests() {
-        if api.world().catalog().get(id).is_none() {
-            return ReachResponse::Error { message: format!("unknown interest {}", id.0) };
-        }
-    }
-    if let Err(i) = CountryFilter::checked_of(&spec.location_indices()) {
-        return ReachResponse::Error {
-            message: format!("country index {i} outside the 50-country universe"),
-        };
-    }
-    let Some(clients) = clients else {
-        return ReachResponse::Error { message: "router has no live backend connections".into() };
-    };
-    match fan_out_and_merge(api, clients, request, nested, sampled, parent) {
-        Ok(response) => response,
-        Err(RouteError::Backend(e)) => {
-            ReachResponse::Error { message: format!("backend error: {e}") }
-        }
-        Err(RouteError::Merge(message)) => ReachResponse::Error { message },
+        fan_out_and_merge(&self.api, clients, request, kind, parent)
     }
 }
 
@@ -510,17 +241,6 @@ fn merge_prefixed(registry: &mut RegistrySnapshot, shard: usize, snap: RegistryS
     }
 }
 
-enum RouteError {
-    Backend(ClientError),
-    Merge(String),
-}
-
-impl From<ClientError> for RouteError {
-    fn from(e: ClientError) -> Self {
-        RouteError::Backend(e)
-    }
-}
-
 /// Fans the query out to every backend (writes first, then collects, so
 /// backends compute concurrently) and folds the partials in ascending
 /// global chunk order — the single-node reduction, reproduced.
@@ -528,10 +248,10 @@ fn fan_out_and_merge(
     api: &AdsManagerApi<'_>,
     clients: &mut [ReachClient],
     request: &ReachRequest,
-    nested: bool,
-    sampled: bool,
+    kind: QueryKind,
     parent: Option<TraceContext>,
-) -> Result<ReachResponse, RouteError> {
+) -> Result<ReachResponse, String> {
+    let backend = |e: ClientError| format!("backend error: {e}");
     // The fan-out never forwards the client's trace context verbatim:
     // each backend hop gets its own `client.request` span (parented under
     // this handler's span), so per-shard wire and server time stay
@@ -540,18 +260,16 @@ fn fan_out_and_merge(
     let mut ids = Vec::with_capacity(clients.len());
     for client in clients.iter_mut() {
         client.set_trace_parent(parent);
-        ids.push(client.send(&shard_request)?);
+        ids.push(client.send(&shard_request).map_err(backend)?);
     }
     let mut partials: Vec<ShardPartials> = Vec::with_capacity(clients.len());
     for (client, id) in clients.iter_mut().zip(ids) {
-        match client.receive(&shard_request, id)? {
+        match client.receive(&shard_request, id).map_err(backend)? {
             ReachResponse::ShardPartials { generation, chunks, values } => {
                 partials.push(ShardPartials { generation, chunks, values });
             }
             _ => {
-                return Err(RouteError::Merge(
-                    "backend answered the shard opcode with a non-partials response".into(),
-                ))
+                return Err("backend answered the shard opcode with a non-partials response".into())
             }
         }
     }
@@ -559,10 +277,10 @@ fn fan_out_and_merge(
     let want_generation = api.world().generation();
     for p in &partials {
         if p.generation != want_generation {
-            return Err(RouteError::Merge(format!(
+            return Err(format!(
                 "shard epoch mismatch: backend at generation {}, router at {want_generation}",
                 p.generation
-            )));
+            ));
         }
     }
     // Coverage: the union of shard chunk sets must be exactly one of each
@@ -571,7 +289,7 @@ fn fan_out_and_merge(
     let mut merged: Vec<(u32, Vec<u64>)> = Vec::with_capacity(nchunks);
     for p in partials {
         if p.chunks.len() != p.values.len() {
-            return Err(RouteError::Merge("shard partials chunk/value length mismatch".into()));
+            return Err("shard partials chunk/value length mismatch".into());
         }
         merged.extend(p.chunks.into_iter().zip(p.values));
     }
@@ -579,62 +297,66 @@ fn fan_out_and_merge(
     if merged.len() != nchunks
         || merged.iter().enumerate().any(|(want, &(got, _))| got as usize != want)
     {
-        return Err(RouteError::Merge(format!(
+        return Err(format!(
             "shard chunk coverage broken: got {} chunks of {nchunks}",
             merged.len()
-        )));
+        ));
     }
     let scale = api.world().panel().scale();
-    if sampled {
-        let mut total: u64 = 0;
-        for (_, values) in &merged {
-            match values.as_slice() {
-                [count] => total += count,
-                _ => return Err(RouteError::Merge("sampled partial is not one count".into())),
-            }
-        }
-        let point = api.report_potential(total as f64 * scale);
-        return Ok(ReachResponse::SampledReach {
-            reported: point.reported,
-            floored: point.floored,
-            too_narrow_warning: point.too_narrow_warning,
-        });
-    }
-    if nested {
-        let prefixes = request.interests.len();
-        let mut sums = vec![0.0f64; prefixes];
-        for (_, values) in &merged {
-            if values.len() != prefixes {
-                return Err(RouteError::Merge("nested partial width mismatch".into()));
-            }
-            for (slot, &bits) in sums.iter_mut().zip(values) {
-                *slot += f64::from_bits(bits);
-            }
-        }
-        let reaches = sums
-            .into_iter()
-            .map(|s| {
-                let point = api.report_potential(s * scale);
-                ReachPoint {
-                    reported: point.reported,
-                    floored: point.floored,
-                    too_narrow_warning: point.too_narrow_warning,
+    Ok(match kind {
+        QueryKind::Sampled => {
+            let mut total: u64 = 0;
+            for (_, values) in &merged {
+                match values.as_slice() {
+                    [count] => total += count,
+                    _ => return Err("sampled partial is not one count".into()),
                 }
-            })
-            .collect();
-        return Ok(ReachResponse::Nested { reaches });
-    }
-    let mut sum = 0.0f64;
-    for (_, values) in &merged {
-        match values.as_slice() {
-            [bits] => sum += f64::from_bits(*bits),
-            _ => return Err(RouteError::Merge("scalar partial is not one value".into())),
+            }
+            let point = api.report_potential(total as f64 * scale);
+            ReachResponse::SampledReach {
+                reported: point.reported,
+                floored: point.floored,
+                too_narrow_warning: point.too_narrow_warning,
+            }
         }
-    }
-    let point = api.report_potential(sum * scale);
-    Ok(ReachResponse::Reach {
-        reported: point.reported,
-        floored: point.floored,
-        too_narrow_warning: point.too_narrow_warning,
+        QueryKind::Nested => {
+            let prefixes = request.interests.len();
+            let mut sums = vec![0.0f64; prefixes];
+            for (_, values) in &merged {
+                if values.len() != prefixes {
+                    return Err("nested partial width mismatch".into());
+                }
+                for (slot, &bits) in sums.iter_mut().zip(values) {
+                    *slot += f64::from_bits(bits);
+                }
+            }
+            let reaches = sums
+                .into_iter()
+                .map(|s| {
+                    let point = api.report_potential(s * scale);
+                    ReachPoint {
+                        reported: point.reported,
+                        floored: point.floored,
+                        too_narrow_warning: point.too_narrow_warning,
+                    }
+                })
+                .collect();
+            ReachResponse::Nested { reaches }
+        }
+        QueryKind::Scalar => {
+            let mut sum = 0.0f64;
+            for (_, values) in &merged {
+                match values.as_slice() {
+                    [bits] => sum += f64::from_bits(*bits),
+                    _ => return Err("scalar partial is not one value".into()),
+                }
+            }
+            let point = api.report_potential(sum * scale);
+            ReachResponse::Reach {
+                reported: point.reported,
+                floored: point.floored,
+                too_narrow_warning: point.too_narrow_warning,
+            }
+        }
     })
 }

@@ -320,3 +320,27 @@ fn pipelined_batch_through_the_router_matches_single_node() {
         assert!(matches!(answer, ReachResponse::Reach { .. }));
     }
 }
+
+#[test]
+fn bad_country_echo_is_bounded_and_identical_on_both_tiers() {
+    // A 60 KB location used to be echoed back whole in the error frame.
+    use std::io::{BufRead, BufReader, Write};
+
+    let reference = reference_server();
+    let (_backends, router) = start_cluster(2);
+    let frame = format!(r#"{{"v":1,"locations":["{}"],"interests":[0]}}"#, "A".repeat(60_000));
+    let answers: Vec<String> = [reference.addr(), router.addr()]
+        .into_iter()
+        .map(|addr| {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            stream.write_all(frame.as_bytes()).unwrap();
+            stream.write_all(b"\n").unwrap();
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).unwrap();
+            line
+        })
+        .collect();
+    assert!(answers[0].contains("bad country code"), "{}", answers[0]);
+    assert!(answers[0].len() < 128, "error frame of {} bytes", answers[0].len());
+    assert_eq!(answers[0], answers[1], "the router must answer exactly like a single node");
+}

@@ -337,3 +337,64 @@ fn errors_and_concurrent_traffic_are_metered() {
     let histogram = registry.histogram("reach.request.scalar").unwrap();
     assert_eq!(histogram.count, 17, "{histogram:?}");
 }
+
+#[test]
+fn multi_flag_frames_are_metered_under_the_opcode_that_answers() {
+    // Raw frames setting two opcode flags, which the typed constructors
+    // never build. The counter and histogram must follow the answer on both
+    // tiers: `shard` + `snapshot` is answered (and metered) as a snapshot,
+    // and `nested` + `sampled` names no opcode, so it is metered only as an
+    // error.
+    use fbsim_population::ShardSpec;
+    use reach_api::{ReachRouter, RouterConfig};
+
+    let server = telemetry_server();
+    let backend = ReachServer::start(
+        test_world(),
+        ServerConfig {
+            shard: Some(ShardSpec { index: 0, count: 1 }),
+            telemetry: Some(TelemetryConfig::disabled()),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let router = ReachRouter::start(
+        test_world(),
+        vec![backend.addr()],
+        RouterConfig { telemetry: Some(TelemetryConfig::enabled()), ..RouterConfig::default() },
+    )
+    .unwrap();
+    for (tier, addr) in [("server", server.addr()), ("router", router.addr())] {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut stream = stream;
+        stream
+            .write_all(
+                b"{\"v\":1,\"locations\":[\"US\"],\"interests\":[0],\"shard\":true,\"snapshot\":true}\n\
+                  {\"v\":1,\"locations\":[\"US\"],\"interests\":[0],\"nested\":true,\"sampled\":true}\n",
+            )
+            .unwrap();
+        let mut answers = Vec::new();
+        for _ in 0..2 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            answers.push(decode_response_frame(line.trim_end().as_bytes()).unwrap().response);
+        }
+        assert!(matches!(answers[0], ReachResponse::StatsSnapshot { .. }), "{tier}: {answers:?}");
+        assert_eq!(
+            answers[1],
+            ReachResponse::Error { message: "nested and sampled are mutually exclusive".into() },
+            "{tier}"
+        );
+
+        let registry = ReachClient::connect(addr).unwrap().telemetry_snapshot().unwrap();
+        assert_eq!(registry.counter("reach.requests.snapshot"), Some(2), "{tier}: {registry:?}");
+        assert_eq!(registry.counter("reach.requests.error"), Some(1), "{tier}: {registry:?}");
+        for opcode in ["shard", "nested", "sampled", "scalar"] {
+            let counter = format!("reach.requests.{opcode}");
+            assert_eq!(registry.counter(&counter), None, "{tier}: {registry:?}");
+            let histogram = format!("reach.request.{opcode}");
+            assert!(registry.histogram(&histogram).is_none(), "{tier}: {registry:?}");
+        }
+    }
+}

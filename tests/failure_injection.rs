@@ -54,6 +54,9 @@ fn rate_limit_exhaustion_surfaces_as_error() {
     .unwrap();
     let mut client = ReachClient::connect(server.addr()).unwrap();
     client.max_retries = 1;
+    // Cap the retry wait: the server suggests the 60 s maximum, and at
+    // 0.0001 tokens/s the bucket is still empty after 10 ms anyway.
+    client.max_backoff = std::time::Duration::from_millis(10);
     // First request drains the bucket…
     assert!(client.potential_reach(&["US"], &[0]).is_ok());
     // …the second exhausts the retry budget.
