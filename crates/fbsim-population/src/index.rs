@@ -344,6 +344,11 @@ impl ReachIndex {
             self.generation,
             world.generation()
         );
+        // The warm case: every id is built, so skip the catalog-sized
+        // dedup scratch below.
+        if ids.iter().all(|id| self.postings[id.0 as usize].is_some()) {
+            return;
+        }
         let catalog = world.catalog();
         let panel = world.panel();
         let missing: Vec<InterestId> = {
@@ -817,6 +822,21 @@ mod tests {
         // Extending with already-built ids is a no-op.
         grown.extend_for(world(), &a);
         assert_eq!(grown.built_interests(), 3);
+    }
+
+    #[test]
+    fn extending_with_only_built_ids_changes_nothing() {
+        let built = [InterestId(5), InterestId(15), InterestId(25)];
+        let before = ReachIndex::build_for(world(), &built);
+        let mut after = before.clone();
+        after.extend_for(world(), &[InterestId(25), InterestId(5), InterestId(5)]);
+        after.extend_for(world(), &[]);
+        assert_eq!(after.built_interests(), before.built_interests());
+        assert_eq!(after.heap_bytes(), before.heap_bytes());
+        for raw in 0..world().catalog().len() as u32 {
+            let id = InterestId(raw);
+            assert_eq!(after.posting(id), before.posting(id), "interest {raw}");
+        }
     }
 
     #[test]

@@ -4,8 +4,14 @@
 //! server throttles, the client honours the server-suggested wait (with a
 //! retry cap) — the same etiquette the paper's collection against the real
 //! Marketing API required. [`ReachClient::pipeline`] amortises the
-//! round-trip by writing a whole batch of id-tagged frames before reading
+//! round-trip by sending a whole batch of id-tagged frames before reading
 //! any response, matching answers back by echoed id.
+//!
+//! Outgoing frames are queued per connection and reach the socket in
+//! batches: when the queue holds [`QUEUE_FLUSH_BYTES`], before the client
+//! blocks on a read, on [`ReachClient::flush`], and (best effort) when the
+//! client is dropped. A window of pipelined requests therefore costs a
+//! write per 8 KiB, not one per frame.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -15,8 +21,8 @@ use reach_cache::CacheStats;
 use uof_telemetry::{RegistrySnapshot, SpanGuard, Telemetry, TraceContext};
 
 use crate::proto::{
-    decode_response_frame, encode, FrameCodec, FrameError, ReachRequest, ReachResponse,
-    ResponseFrame, ServerTiming,
+    append_request_frame, decode_response_frame, FrameCodec, FrameError, ReachRequest,
+    ReachResponse, ResponseFrame, ServerTiming,
 };
 use crate::server::MAX_RETRY_BACKOFF;
 
@@ -27,10 +33,23 @@ use crate::server::MAX_RETRY_BACKOFF;
 /// server that had asked for 60s).
 pub const DEFAULT_MAX_BACKOFF: Duration = MAX_RETRY_BACKOFF;
 
+/// Queued request bytes at which [`ReachClient::send`] writes the queue
+/// out (the `std::io::BufWriter` default). A deep window thus reaches the
+/// server in pieces, so it starts answering while the client still
+/// encodes the rest; flushing only before the first read leaves the
+/// server idle for the whole window.
+pub const QUEUE_FLUSH_BYTES: usize = 8 * 1024;
+
 /// Client-side errors.
 #[derive(Debug)]
 pub enum ClientError {
-    /// Socket-level failure.
+    /// Socket-level failure. A failed write surfaces from whichever call
+    /// wrote the queue: [`ReachClient::flush`], a read
+    /// ([`ReachClient::receive`] and everything built on it), or a
+    /// [`ReachClient::send`] that filled the queue to
+    /// [`QUEUE_FLUSH_BYTES`]. The queued frames are dropped, and like a
+    /// failed read the error poisons an id-less connection (see
+    /// [`ClientError::Desynchronized`]).
     Io(std::io::Error),
     /// The server reported a request error.
     Server(String),
@@ -128,6 +147,8 @@ pub fn backoff_wait(retry_after_ms: u64, retries: u32, max_backoff: Duration) ->
 /// Blocking client over one TCP connection.
 pub struct ReachClient {
     stream: TcpStream,
+    /// Encoded request frames not yet written, in send order.
+    queue: Vec<u8>,
     codec: FrameCodec,
     /// Next pipelining id to assign (ids are unique per connection).
     next_id: u64,
@@ -178,6 +199,7 @@ impl ReachClient {
         stream.set_nodelay(true)?;
         Ok(Self {
             stream,
+            queue: Vec::new(),
             codec: FrameCodec::new(),
             next_id: 1,
             desynced: false,
@@ -330,6 +352,8 @@ impl ReachClient {
     /// Sends one request, retrying through rate limits, and returns the
     /// first substantive response. The request is tagged with a fresh
     /// pipelining id (old id-less servers ignore it and answer in order).
+    /// Its frame reaches the socket with the read that waits for the
+    /// answer, together with anything queued before it.
     ///
     /// # Errors
     ///
@@ -339,19 +363,48 @@ impl ReachClient {
         self.receive(request, id)
     }
 
-    /// Writes one id-tagged request **without** reading the response — the
-    /// fan-out half of a cross-connection pipeline (a router writes to all
-    /// backends first, so they compute concurrently, then collects). Pair
-    /// with [`ReachClient::receive`].
+    /// Queues one id-tagged request **without** reading the response and
+    /// returns its id; pair with [`ReachClient::receive`]. The frame is
+    /// encoded into the connection's queue, which reaches the socket when
+    /// it holds [`QUEUE_FLUSH_BYTES`], before the next read, on
+    /// [`ReachClient::flush`], or when the client is dropped. A caller
+    /// that fans out over several connections (the router) must
+    /// [`ReachClient::flush`] each one before its first `receive`, or the
+    /// peers see their frames one at a time.
     ///
     /// # Errors
     ///
-    /// See [`ClientError`].
+    /// [`ClientError::Io`] only when this frame filled the queue and the
+    /// write failed.
     pub fn send(&mut self, request: &ReachRequest) -> Result<u64, ClientError> {
         let id = self.fresh_id();
-        let wire = self.tagged(request, id);
-        self.stream.write_all(&wire)?;
+        self.queue_frame(request, id);
+        if self.queue.len() >= QUEUE_FLUSH_BYTES {
+            self.flush()?;
+        }
         Ok(id)
+    }
+
+    /// Writes every queued frame to the socket now. A no-op on an empty
+    /// queue.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Io`] when the write fails. The queued frames are
+    /// dropped either way, and a failure poisons an id-less connection
+    /// the way a failed read does.
+    pub fn flush(&mut self) -> Result<(), ClientError> {
+        if self.queue.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.queue);
+        self.queue.clear();
+        written.map_err(|e| {
+            // The frames that did go out may still be answered, and an
+            // id-less answer could no longer be matched to its request.
+            self.desynced = true;
+            ClientError::Io(e)
+        })
     }
 
     /// Adopts `parent` as the trace context every subsequent request's
@@ -377,22 +430,23 @@ impl ReachClient {
         self.last_server_timing
     }
 
-    /// Encodes `request` tagged with `id` — and, when the process is
-    /// tracing, opens a `client.request` span covering the request's whole
-    /// wire lifetime and tags the frame with its trace context so the
-    /// server's `server.frame` span joins the same trace.
-    fn tagged(&mut self, request: &ReachRequest, id: u64) -> Vec<u8> {
-        let mut tagged = request.clone().with_id(id);
+    /// Appends `request`, stamped with `id`, to the outgoing queue — and,
+    /// when the process is tracing, opens a `client.request` span covering
+    /// the request's whole wire lifetime and stamps the frame with its
+    /// trace context so the server's `server.frame` span joins the same
+    /// trace.
+    fn queue_frame(&mut self, request: &ReachRequest, id: u64) {
+        let mut trace = request.trace;
         if self.telemetry.is_tracing() {
             let mut builder = self.telemetry.span("client.request").child_of(self.trace_parent);
             for &(key, value) in &self.trace_labels {
                 builder = builder.field(key, value.into());
             }
             let span = builder.field("id", id.into()).start();
-            tagged = tagged.with_trace(span.trace_context());
+            trace = span.trace_context();
             self.pending_spans.push((id, span));
         }
-        encode(&tagged)
+        append_request_frame(&mut self.queue, request, id, trace);
     }
 
     /// Ends (and thereby emits) the span of the wire request a response
@@ -415,11 +469,14 @@ impl ReachClient {
     }
 
     /// Reads the response to a previously [`ReachClient::send`]-issued id,
-    /// resending `request` through rate limits with backoff.
+    /// resending `request` through rate limits with backoff. Before it
+    /// blocks on the socket it writes the outgoing queue, so the frame it
+    /// waits for (and every frame sent before it) is on the wire.
     ///
     /// # Errors
     ///
-    /// See [`ClientError`].
+    /// See [`ClientError`]; a failed write of the queue surfaces here as
+    /// [`ClientError::Io`].
     pub fn receive(
         &mut self,
         request: &ReachRequest,
@@ -443,11 +500,12 @@ impl ReachClient {
         }
     }
 
-    /// Writes all of `requests` before reading any response — one round
-    /// trip (and one TCP segment train) for the whole batch — then returns
-    /// the responses **in request order**, matched by echoed id. Against an
-    /// id-less v1 server the batch still works: responses arrive in request
-    /// order and fill the slots in order.
+    /// Sends all of `requests` before reading any response — one round
+    /// trip for the whole batch, written a [`QUEUE_FLUSH_BYTES`] piece at a
+    /// time and the rest before the first read — then returns the
+    /// responses **in request order**, matched by echoed id. Against an
+    /// id-less v1 server the batch still works: responses arrive in
+    /// request order and fill the slots in order.
     ///
     /// Rate-limited slots are retried in rounds (fresh ids, one backoff
     /// sleep per round, up to `max_retries` rounds); a slot still throttled
@@ -469,14 +527,9 @@ impl ReachClient {
         // In-flight (id, slot) pairs, in write order — the order an id-less
         // server's responses arrive in.
         let mut pending: Vec<(u64, usize)> = Vec::with_capacity(requests.len());
-        let mut wire = Vec::new();
         for (slot, request) in requests.iter().enumerate() {
-            let id = self.fresh_id();
-            pending.push((id, slot));
-            let frame = self.tagged(request, id);
-            wire.extend_from_slice(&frame);
+            pending.push((self.send(request)?, slot));
         }
-        self.stream.write_all(&wire)?;
         let mut rounds = 0u32;
         loop {
             let mut rate_limited: Vec<(usize, u64)> = Vec::new();
@@ -514,14 +567,9 @@ impl ReachClient {
             rounds += 1;
             let worst = rate_limited.iter().map(|&(_, ms)| ms).max().unwrap_or(0);
             std::thread::sleep(backoff_wait(worst, rounds, self.max_backoff));
-            let mut wire = Vec::new();
             for &(slot, _) in &rate_limited {
-                let id = self.fresh_id();
-                pending.push((id, slot));
-                let frame = self.tagged(&requests[slot], id);
-                wire.extend_from_slice(&frame);
+                pending.push((self.send(&requests[slot])?, slot));
             }
-            self.stream.write_all(&wire)?;
         }
         // lint:allow(no-unwrap) — invariant: the loop exits only once every slot is filled
         Ok(slots.into_iter().map(|s| s.expect("all slots answered")).collect())
@@ -563,6 +611,7 @@ impl ReachClient {
                 }
                 return Ok((id, response));
             }
+            self.flush()?;
             let n = match self.stream.read(&mut self.read_buf) {
                 Ok(n) => n,
                 Err(e) => {
@@ -583,6 +632,14 @@ impl ReachClient {
             }
             self.codec.feed(&self.read_buf[..n]);
         }
+    }
+}
+
+impl Drop for ReachClient {
+    /// Writes what is still queued, best effort: frames sent but never
+    /// waited for still reach the server.
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 
@@ -616,6 +673,28 @@ mod tests {
         let suggested = MAX_RETRY_BACKOFF.as_millis() as u64;
         let wait = backoff_wait(suggested, 1, DEFAULT_MAX_BACKOFF);
         assert_eq!(wait, MAX_RETRY_BACKOFF, "the largest priced wait is honoured in full");
+    }
+
+    #[test]
+    fn a_failed_write_drops_the_queue_and_poisons_the_connection() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = ReachClient::connect(listener.local_addr().unwrap()).unwrap();
+        drop(listener.accept().unwrap());
+        // The first write into the closed peer may still succeed (the
+        // peer answers it with a reset); a later one must fail.
+        let request = ReachRequest::stats();
+        let mut failed = false;
+        for _ in 0..100 {
+            client.send(&request).unwrap();
+            if client.flush().is_err() {
+                failed = true;
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(failed, "writing into a closed peer never failed");
+        assert!(client.queue.is_empty(), "the failed frames are dropped, not resent");
+        assert!(client.desynced, "a failed write poisons id-less responses");
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!   index, with the reporting floor applied server-side.
 //! * [`client`] — a blocking client with exponential backoff on
 //!   rate-limit responses and a [`ReachClient::pipeline`] batch API that
-//!   writes N id-tagged frames before reading N responses.
+//!   sends N id-tagged frames before reading N responses. Sent frames are
+//!   queued per connection and written per batch: at 8 KiB, before a
+//!   read, on [`ReachClient::flush`], and on drop.
 //! * [`router`] — the sharded-deployment front-end: fans a query out to N
 //!   shard backends and folds their per-chunk partials in ascending chunk
 //!   order, so merged answers are bit-identical to a single node.

@@ -491,6 +491,20 @@ pub fn encode<T: Message>(message: &T) -> Vec<u8> {
     out
 }
 
+/// Appends `request` as one frame to `out`, stamped with the pipelining
+/// `id` and the trace context `trace` in place of its own — the bytes of
+/// `encode(&request.clone().with_id(id).with_trace(trace))`, without the
+/// clone. This is how a client queues a frame.
+pub fn append_request_frame(
+    out: &mut Vec<u8>,
+    request: &ReachRequest,
+    id: u64,
+    trace: Option<TraceContext>,
+) {
+    write_request(out, request, Some(id), trace);
+    out.push(b'\n');
+}
+
 /// Decodes one frame into a message.
 ///
 /// # Errors
@@ -548,9 +562,20 @@ pub fn encode_response_frame(
     response: &ReachResponse,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
-    write_response(&mut out, id, timing, response);
-    out.push(b'\n');
+    append_response_frame(&mut out, id, timing, response);
     out
+}
+
+/// Appends the frame [`encode_response_frame`] returns to `out` — how a
+/// server batches a read's answers into one write.
+pub fn append_response_frame(
+    out: &mut Vec<u8>,
+    id: Option<u64>,
+    timing: Option<&ServerTiming>,
+    response: &ReachResponse,
+) {
+    write_response(out, id, timing, response);
+    out.push(b'\n');
 }
 
 // ---------------------------------------------------------------- encoder
@@ -561,49 +586,59 @@ pub fn encode_response_frame(
 
 impl Message for ReachRequest {
     fn write_json(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"{\"v\":");
-        push_u64(out, u64::from(self.v));
-        out.extend_from_slice(b",\"locations\":[");
-        for (i, location) in self.locations.iter().enumerate() {
-            if i > 0 {
-                out.push(b',');
-            }
-            push_string(out, location);
-        }
-        out.extend_from_slice(b"],\"interests\":");
-        push_u32s(out, &self.interests);
-        out.extend_from_slice(b",\"nested\":");
-        push_opt_bool(out, self.nested);
-        out.extend_from_slice(b",\"stats\":");
-        push_opt_bool(out, self.stats);
-        out.extend_from_slice(b",\"snapshot\":");
-        push_opt_bool(out, self.snapshot);
-        out.extend_from_slice(b",\"sampled\":");
-        push_opt_bool(out, self.sampled);
-        out.extend_from_slice(b",\"id\":");
-        match self.id {
-            Some(id) => push_u64(out, id),
-            None => out.extend_from_slice(b"null"),
-        }
-        out.extend_from_slice(b",\"shard\":");
-        push_opt_bool(out, self.shard);
-        out.extend_from_slice(b",\"trace\":");
-        match self.trace {
-            Some(t) => {
-                out.push(b'[');
-                push_u64(out, t.trace_id);
-                out.push(b',');
-                push_u64(out, t.parent_span_id);
-                out.push(b']');
-            }
-            None => out.extend_from_slice(b"null"),
-        }
-        out.push(b'}');
+        write_request(out, self, self.id, self.trace);
     }
 
     fn read_json(frame: &[u8]) -> Result<Self, FrameError> {
         read_request(frame)
     }
+}
+
+/// `request`'s JSON object with `id` and `trace` in place of its own.
+fn write_request(
+    out: &mut Vec<u8>,
+    request: &ReachRequest,
+    id: Option<u64>,
+    trace: Option<TraceContext>,
+) {
+    out.extend_from_slice(b"{\"v\":");
+    push_u64(out, u64::from(request.v));
+    out.extend_from_slice(b",\"locations\":[");
+    for (i, location) in request.locations.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_string(out, location);
+    }
+    out.extend_from_slice(b"],\"interests\":");
+    push_u32s(out, &request.interests);
+    out.extend_from_slice(b",\"nested\":");
+    push_opt_bool(out, request.nested);
+    out.extend_from_slice(b",\"stats\":");
+    push_opt_bool(out, request.stats);
+    out.extend_from_slice(b",\"snapshot\":");
+    push_opt_bool(out, request.snapshot);
+    out.extend_from_slice(b",\"sampled\":");
+    push_opt_bool(out, request.sampled);
+    out.extend_from_slice(b",\"id\":");
+    match id {
+        Some(id) => push_u64(out, id),
+        None => out.extend_from_slice(b"null"),
+    }
+    out.extend_from_slice(b",\"shard\":");
+    push_opt_bool(out, request.shard);
+    out.extend_from_slice(b",\"trace\":");
+    match trace {
+        Some(t) => {
+            out.push(b'[');
+            push_u64(out, t.trace_id);
+            out.push(b',');
+            push_u64(out, t.parent_span_id);
+            out.push(b']');
+        }
+        None => out.extend_from_slice(b"null"),
+    }
+    out.push(b'}');
 }
 
 impl Message for ReachResponse {

@@ -241,9 +241,10 @@ fn merge_prefixed(registry: &mut RegistrySnapshot, shard: usize, snap: RegistryS
     }
 }
 
-/// Fans the query out to every backend (writes first, then collects, so
-/// backends compute concurrently) and folds the partials in ascending
-/// global chunk order — the single-node reduction, reproduced.
+/// Fans the query out to every backend (sends and flushes to all first,
+/// then collects, so backends compute concurrently) and folds the partials
+/// in ascending global chunk order — the single-node reduction,
+/// reproduced.
 fn fan_out_and_merge(
     api: &AdsManagerApi<'_>,
     clients: &mut [ReachClient],
@@ -261,6 +262,12 @@ fn fan_out_and_merge(
     for client in clients.iter_mut() {
         client.set_trace_parent(parent);
         ids.push(client.send(&shard_request).map_err(backend)?);
+    }
+    // `send` only queues, and `receive` writes just its own connection's
+    // queue: without this, backend k would see its frame only once the
+    // router started waiting on it, serializing the fan-out.
+    for client in clients.iter_mut() {
+        client.flush().map_err(backend)?;
     }
     let mut partials: Vec<ShardPartials> = Vec::with_capacity(clients.len());
     for (client, id) in clients.iter_mut().zip(ids) {

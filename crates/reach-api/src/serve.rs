@@ -26,7 +26,7 @@ use uof_telemetry::metrics::{Counter, Gauge};
 use uof_telemetry::{SpanSource, Telemetry, TraceContext};
 
 use crate::proto::{
-    decode, encode, encode_response_frame, FrameCodec, FrameError, Op, QueryKind, ReachRequest,
+    append_response_frame, decode, FrameCodec, FrameError, Op, QueryKind, ReachRequest,
     ReachResponse, ServerTiming, PROTOCOL_VERSION,
 };
 use crate::server::{RateLimitConfig, TokenBucket};
@@ -330,12 +330,11 @@ pub(crate) fn serve_connection<H: FrameHandler>(
                     (request.id, timing, response)
                 }
             };
-            out.extend_from_slice(&encode_response_frame(id, timing.as_ref(), &response));
+            append_response_frame(&mut out, id, timing.as_ref(), &response);
         }
         if oversized {
-            out.extend_from_slice(&encode(&ReachResponse::Error {
-                message: "frame too large".into(),
-            }));
+            let response = ReachResponse::Error { message: "frame too large".into() };
+            append_response_frame(&mut out, None, None, &response);
         }
         if !out.is_empty() {
             match stream.write_all(&out) {

@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::prelude::*;
 use reach_api::proto::{
-    decode, decode_response_frame, encode, encode_response_frame, FrameCodec, FrameError,
-    ReachPoint, ReachRequest, ReachResponse, ResponseFrame, ServerTiming, MAX_DEPTH,
+    append_request_frame, decode, decode_response_frame, encode, encode_response_frame, FrameCodec,
+    FrameError, ReachPoint, ReachRequest, ReachResponse, ResponseFrame, ServerTiming, MAX_DEPTH,
 };
 use uof_telemetry::TraceContext;
 
@@ -656,6 +656,17 @@ proptest! {
             prop_assert_eq!(back, ResponseFrame { id, server_timing: timing, response: response.clone() });
         }
         prop_assert_eq!(decode::<ReachRequest>(&encode(&request)).unwrap(), request);
+        // In-place stamping, as a client queues a frame: the bytes of the
+        // cloned-and-stamped request, appended after what is queued.
+        let id = big(&mut rng);
+        let trace = rng
+            .gen_bool(0.5)
+            .then(|| TraceContext { trace_id: big(&mut rng), parent_span_id: big(&mut rng) });
+        let mut queue = b"queued\n".to_vec();
+        append_request_frame(&mut queue, &request, id, trace);
+        let mut want = b"queued\n".to_vec();
+        want.extend(encode(&request.clone().with_id(id).with_trace(trace)));
+        prop_assert_eq!(queue, want);
     }
 
     #[test]

@@ -344,3 +344,75 @@ fn bad_country_echo_is_bounded_and_identical_on_both_tiers() {
     assert!(answers[0].len() < 128, "error frame of {} bytes", answers[0].len());
     assert_eq!(answers[0], answers[1], "the router must answer exactly like a single node");
 }
+
+/// A raw-TCP shard backend for one connection: it reads one frame, calls
+/// `before_answer`, and answers with sampled partials (a zero count per
+/// chunk) for `chunks`, echoing the request id. If `before_answer`
+/// returns `false` it hangs up without answering.
+fn scripted_backend(
+    chunks: Vec<u32>,
+    before_answer: impl FnOnce() -> bool + Send + 'static,
+) -> std::net::SocketAddr {
+    use reach_api::proto::{decode, encode_response_frame, FrameCodec};
+    use std::io::{Read, Write};
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let generation = test_world().generation();
+    std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        let mut codec = FrameCodec::new();
+        let mut buf = [0u8; 4096];
+        let frame = loop {
+            if let Some(frame) = codec.next_frame().unwrap() {
+                break frame;
+            }
+            let n = sock.read(&mut buf).unwrap();
+            if n == 0 {
+                return;
+            }
+            codec.feed(&buf[..n]);
+        };
+        let request: ReachRequest = decode(&frame).unwrap();
+        if !before_answer() {
+            return;
+        }
+        let values = vec![vec![0u64]; chunks.len()];
+        let response = ReachResponse::ShardPartials { generation, chunks, values };
+        let _ = sock.write_all(&encode_response_frame(request.id, None, &response));
+    });
+    addr
+}
+
+#[test]
+fn router_fan_out_reaches_every_backend_before_it_waits_on_one() {
+    // Backend 0 answers only once backend 1 has received its frame. A
+    // router that wrote each backend's frame only when it began waiting on
+    // that backend would serialize the fan-out and deadlock here: backend 0
+    // gives up after the timeout and the query fails.
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let nchunks = test_world().panel().len().div_ceil(fbsim_population::CHUNK_USERS) as u32;
+    let half = nchunks / 2;
+    let (received, wait) = mpsc::channel::<()>();
+    let first = scripted_backend((0..half).collect(), move || {
+        wait.recv_timeout(Duration::from_secs(5)).is_ok()
+    });
+    let second = scripted_backend((half..nchunks).collect(), move || {
+        let _ = received.send(());
+        true
+    });
+    let router = ReachRouter::start(
+        test_world(),
+        vec![first, second],
+        RouterConfig { rate_limit: generous(), ..RouterConfig::default() },
+    )
+    .expect("bind router");
+    let mut client = ReachClient::connect(router.addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let reach = client
+        .sampled_reach(&["US"], &[0])
+        .expect("the fan-out must reach both backends before the router waits");
+    assert!(reach.floored, "zero partials merge to a floored report");
+}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local verification gate — what CI and ROADMAP.md's tier-1 check run.
 #
-#   scripts/check.sh          # fmt check + lint + release build + tests
+#   scripts/check.sh          # fmt check + lint + release builds + tests
 #
 # Tests run five times: once strictly sequentially (UOF_THREADS=1), once
 # at the default thread count — so a scheduling-dependent regression in the
@@ -42,6 +42,11 @@ cargo run -q -p xtask -- lint --waivers
 
 echo "==> cargo build --release"
 cargo build --release
+
+# The root build covers only the root package; the bench bins (loadgen,
+# bench_telemetry, ...) drive the reach client too, so build them here.
+echo "==> cargo build --release -p bench"
+cargo build --release -p bench
 
 echo "==> cargo test -q (UOF_THREADS=1, strictly sequential)"
 UOF_THREADS=1 cargo test -q
