@@ -7,8 +7,7 @@
 //!
 //! Writes `BENCH_cache.json` to the working directory. Honours `UOF_SCALE`
 //! (default `medium`), `UOF_SEED`, and `UOF_THREADS` like every other bench
-//! binary. The caches below are constructed explicitly, so `UOF_REACH_CACHE`
-//! does not change what is measured.
+//! binary.
 
 use fbsim_population::reach::CountryFilter;
 use fbsim_population::{InterestId, ReachEngine};

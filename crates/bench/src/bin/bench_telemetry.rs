@@ -14,9 +14,7 @@
 //!    ISSUE's <5% overhead target refers to.
 //!
 //! Writes `BENCH_telemetry.json` to the working directory. Honours
-//! `UOF_SCALE` (default `medium`), `UOF_SEED`, and `UOF_THREADS`. The
-//! servers pin explicit [`TelemetryConfig`]s, so `UOF_TELEMETRY` does not
-//! change what is measured.
+//! `UOF_SCALE` (default `medium`), `UOF_SEED`, and `UOF_THREADS`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

@@ -406,7 +406,7 @@ struct RoutedPass {
     secs: f64,
     rps: f64,
     /// The same slice replayed in id-tagged pipeline batches through the
-    /// router — the configuration the traced acceptance run exercises.
+    /// router.
     pipelined_secs: f64,
     pipelined_rps: f64,
     answers_equal_to_single_node: bool,
@@ -459,15 +459,13 @@ fn main() {
         workload.sampled
     );
 
-    // Server-side telemetry inherits the environment: a plain bench run
-    // keeps it disabled (zero overhead), while a traced run
-    // (`UOF_TELEMETRY_TRACE_PATH=…`) gets server/router frame spans joined
-    // to the client's trace — the input `xtask trace-report` reconstructs.
+    // Server-side telemetry stays disabled: the bench measures the serving
+    // path without instrumentation overhead.
     let server_config = ServerConfig {
         rate_limit: unthrottled(),
         cache: reach_cache::CacheConfig::default(),
         index: fbsim_population::index::IndexConfig::enabled(),
-        telemetry: Some(TelemetryConfig::from_env()),
+        telemetry: Some(TelemetryConfig::disabled()),
         ..ServerConfig::default()
     };
     let server =
@@ -540,7 +538,7 @@ fn main() {
         backends.iter().map(ReachServer::addr).collect(),
         RouterConfig {
             rate_limit: unthrottled(),
-            telemetry: Some(TelemetryConfig::from_env()),
+            telemetry: Some(TelemetryConfig::disabled()),
             ..RouterConfig::default()
         },
     )
@@ -556,10 +554,7 @@ fn main() {
     }
     let routed_secs = routed_start.elapsed().as_secs_f64();
 
-    // The same slice again, pipelined through the router — the routed +
-    // pipelined configuration whose trace the acceptance run feeds to
-    // `xtask trace-report` (every batch fans out to both shards per
-    // request, so the trace carries one client.request child per shard).
+    // The same slice again, pipelined through the router.
     let (routed_pipe_secs, routed_pipe) =
         pipelined_pass(&mut routed_client, routed_slice, Some(&routed_batch_latency));
     assert_eq!(

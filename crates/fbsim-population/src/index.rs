@@ -52,8 +52,8 @@
 //! panel draw — exact integer semantics (cross-checked against a boolean
 //! reference scan bit-for-bit), statistically consistent with the
 //! expectation at `O(1/√count)` relative error, and orders of magnitude
-//! faster. Serving layers that need throughput opt in via `UOF_REACH_INDEX`
-//! (read only by [`IndexConfig::from_env`]).
+//! faster. Serving layers that need throughput opt in with
+//! [`IndexConfig::enabled`].
 
 use rayon::prelude::*;
 
@@ -72,9 +72,7 @@ const BLOCK_WORDS: usize = BLOCK_USERS / 64;
 /// of a bitmap (2 bytes × members < 8 bytes × words).
 pub const SPARSE_MAX: usize = 256;
 
-/// Opt-in switch for the sampled-count index, honouring the workspace
-/// env-contract: only [`IndexConfig::from_env`] reads the environment;
-/// explicitly constructed configs are immune to it.
+/// Opt-in switch for the sampled-count index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexConfig {
     /// Whether index-backed sampled counts are offered at all.
@@ -89,19 +87,6 @@ impl Default for IndexConfig {
 }
 
 impl IndexConfig {
-    /// Reads `UOF_REACH_INDEX`: `1`/`true`/`on`/`yes` (case-insensitive)
-    /// enables the index; anything else — including absence — leaves it
-    /// disabled.
-    pub fn from_env() -> Self {
-        let enabled = match std::env::var("UOF_REACH_INDEX") {
-            Ok(raw) => {
-                matches!(raw.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes")
-            }
-            Err(_) => false,
-        };
-        Self { enabled }
-    }
-
     /// An explicitly enabled configuration.
     pub fn enabled() -> Self {
         Self { enabled: true }

@@ -282,8 +282,9 @@ impl ReachClient {
     /// Queries the sampled reach of a conjunction — answered from the
     /// server's bit-packed posting-list index (one realized membership draw
     /// per panel user) instead of the expected-value engine. Requires the
-    /// server to run with `UOF_REACH_INDEX=1`; otherwise the server answers
-    /// with an error and this returns [`ClientError::Server`].
+    /// server's [`ServerConfig::index`](crate::server::ServerConfig::index)
+    /// enabled; otherwise the server answers with an error and this returns
+    /// [`ClientError::Server`].
     ///
     /// # Errors
     ///

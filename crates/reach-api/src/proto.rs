@@ -61,7 +61,7 @@ pub struct ReachRequest {
     /// realized membership draw per user) via
     /// [`ReachResponse::SampledReach`] instead of the expected-value
     /// engine. Requires the server to have the index enabled
-    /// (`UOF_REACH_INDEX`); mutually exclusive with `nested`. Like the
+    /// (`ServerConfig::index`); mutually exclusive with `nested`. Like the
     /// other extension fields, an absent key deserializes as `None`, so
     /// pre-`sampled` frames remain valid.
     #[serde(default)]
@@ -1327,51 +1327,22 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A trace context whose container sits at `depth`:
-    /// `[trace_id, parent_span_id]`, the named object, or `null`.
-    fn trace(&mut self, depth: usize) -> Decoded<Option<TraceContext>> {
-        let mut t = TraceContext { trace_id: 0, parent_span_id: 0 };
-        match self.peek() {
-            Some(b'[') => [t.trace_id, t.parent_span_id] = self.u64s::<2>("trace")?,
-            Some(b'{') => self.fields(&["trace_id", "parent_span_id"], 2, depth, |r, key| {
-                match key {
-                    "trace_id" => t.trace_id = r.u64(key)?,
-                    _ => t.parent_span_id = r.u64(key)?,
-                }
-                Ok(())
-            })?,
-            _ if self.literal(b"null") => return Ok(None),
-            _ => return Err(wrong("trace", "[trace_id, parent_span_id], an object or null")),
-        }
-        Ok(Some(t))
+    /// A trace context: `[trace_id, parent_span_id]` or `null`.
+    fn trace(&mut self) -> Decoded<Option<TraceContext>> {
+        let pair = self.nullable(|r| r.u64s::<2>("trace"))?;
+        Ok(pair.map(|[trace_id, parent_span_id]| TraceContext { trace_id, parent_span_id }))
     }
 
-    /// A server-timing echo for `key`, its container at `depth`: the
-    /// compact `[queue_ns, handler_ns, cache_hit, engine_ns]` (a nonzero
-    /// `cache_hit` is a hit), the named object, or `null`.
-    fn timing(&mut self, key: &'static str, depth: usize) -> Decoded<Option<ServerTiming>> {
-        let mut t = ServerTiming { queue_ns: 0, handler_ns: 0, cache_hit: false, engine_ns: 0 };
-        match self.peek() {
-            Some(b'[') => {
-                let [queue_ns, handler_ns, hit, engine_ns] = self.u64s::<4>(key)?;
-                t = ServerTiming { queue_ns, handler_ns, cache_hit: hit != 0, engine_ns };
-            }
-            Some(b'{') => {
-                let names = ["queue_ns", "handler_ns", "cache_hit", "engine_ns"];
-                self.fields(&names, 4, depth, |r, key| {
-                    match key {
-                        "queue_ns" => t.queue_ns = r.u64(key)?,
-                        "handler_ns" => t.handler_ns = r.u64(key)?,
-                        "cache_hit" => t.cache_hit = r.bool(key)?,
-                        _ => t.engine_ns = r.u64(key)?,
-                    }
-                    Ok(())
-                })?;
-            }
-            _ if self.literal(b"null") => return Ok(None),
-            _ => return Err(wrong(key, "a server-timing array, an object or null")),
-        }
-        Ok(Some(t))
+    /// The server-timing echo `st`: `[queue_ns, handler_ns, cache_hit,
+    /// engine_ns]` (a nonzero `cache_hit` is a hit) or `null`.
+    fn timing(&mut self) -> Decoded<Option<ServerTiming>> {
+        let quad = self.nullable(|r| r.u64s::<4>("st"))?;
+        Ok(quad.map(|[queue_ns, handler_ns, hit, engine_ns]| ServerTiming {
+            queue_ns,
+            handler_ns,
+            cache_hit: hit != 0,
+            engine_ns,
+        }))
     }
 
     /// One [`ReachPoint`] object of a nested answer (depth 3).
@@ -1421,7 +1392,7 @@ fn read_request(frame: &[u8]) -> Decoded<ReachRequest> {
                 "sampled" => request.sampled = r.nullable(|r| r.bool(key))?,
                 "id" => request.id = r.nullable(|r| r.u64(key))?,
                 "shard" => request.shard = r.nullable(|r| r.bool(key))?,
-                _ => request.trace = r.trace(2)?,
+                _ => request.trace = r.trace()?,
             }
             Ok(())
         })
@@ -1457,10 +1428,9 @@ fn payload<T: for<'de> Deserialize<'de>>(span: Option<&[u8]>, key: &'static str)
 }
 
 /// The envelope keys, `kind`, and every variant's fields.
-const RESPONSE_KEYS: [&str; 15] = [
+const RESPONSE_KEYS: [&str; 14] = [
     "id",
     "st",
-    "server_timing",
     "kind",
     "reported",
     "floored",
@@ -1477,14 +1447,11 @@ const RESPONSE_KEYS: [&str; 15] = [
 
 /// Decodes a response frame into its body and optional envelope keys.
 ///
-/// The timing echo is read from `st` or, failing that, from
-/// `server_timing`, each as the compact array or the named object.
-///
 /// # Errors
 ///
 /// A typed [`FrameError`] saying why the frame was refused.
 pub fn decode_response_frame(frame: &[u8]) -> Result<ResponseFrame, FrameError> {
-    let (mut id, mut st, mut server_timing, mut kind) = (None, None, None, None);
+    let (mut id, mut st, mut kind) = (None, None, None);
     let (mut reported, mut floored, mut too_narrow_warning): (Slot<u64>, Slot<bool>, Slot<bool>) =
         (None, None, None);
     let (mut retry_after_ms, mut generation): (Slot<u64>, Slot<u64>) = (None, None);
@@ -1498,8 +1465,7 @@ pub fn decode_response_frame(frame: &[u8]) -> Result<ResponseFrame, FrameError> 
         r.fields(&RESPONSE_KEYS, 0, 1, |r, key| {
             match key {
                 "id" => id = r.nullable(|r| r.u64(key))?,
-                "st" => st = r.timing(key, 2)?,
-                "server_timing" => server_timing = r.timing(key, 2)?,
+                "st" => st = r.timing()?,
                 "kind" => kind = Some(r.kind()?),
                 "reported" => reported = r.slot(|r| r.u64(key))?,
                 "floored" => floored = r.slot(|r| r.bool(key))?,
@@ -1542,7 +1508,7 @@ pub fn decode_response_frame(frame: &[u8]) -> Result<ResponseFrame, FrameError> 
             values: need(values, "values")?,
         },
     };
-    Ok(ResponseFrame { id, server_timing: st.or(server_timing), response })
+    Ok(ResponseFrame { id, server_timing: st, response })
 }
 
 #[cfg(test)]
@@ -1731,7 +1697,7 @@ mod tests {
         // No trace context sent → not one tracing byte in the frame.
         let plain = encode_response_frame(Some(9), None, &response);
         let text = String::from_utf8(plain).unwrap();
-        assert!(!text.contains("server_timing"), "{text}");
+        assert!(!text.contains("\"st\""), "{text}");
         assert!(!text.contains("trace"), "{text}");
     }
 
@@ -1745,12 +1711,12 @@ mod tests {
         assert!(ours.starts_with(b"{\"id\":7,\"st\":[1,2,1,3],\"kind\":\"reach\","));
         let expected = ResponseFrame { id: Some(7), server_timing: Some(timing), response: body };
         assert_eq!(decode_response_frame(&ours).unwrap(), expected);
-        // Keys reordered, the named timing form, whitespace everywhere.
-        let reordered = br#"{"kind":"reach","server_timing":{"queue_ns":1,"handler_ns":2,"cache_hit":true,"engine_ns":3},"reported":9000,"id":7,"floored":true,"too_narrow_warning":false}"#;
+        // Keys reordered, whitespace everywhere.
+        let reordered = br#"{"kind":"reach","st":[1,2,1,3],"reported":9000,"id":7,"floored":true,"too_narrow_warning":false}"#;
         assert_eq!(decode_response_frame(reordered).unwrap(), expected);
         let spaced = b" {\t\"id\" : 7 ,\r\n \"st\": [ 1 , 2 , 5 , 3 ] , \"kind\" : \"reach\", \"reported\":9000,\"floored\":true,\"too_narrow_warning\":false } \n";
         assert_eq!(decode_response_frame(spaced).unwrap(), expected, "nonzero cache_hit is a hit");
-        // `st` wins over `server_timing` when both are present.
+        // `server_timing` is not an envelope key: skipped like any other.
         let both = br#"{"server_timing":[9,9,0,9],"st":[1,2,1,3],"id":7,"kind":"reach","reported":9000,"floored":true,"too_narrow_warning":false}"#;
         assert_eq!(decode_response_frame(both).unwrap(), expected);
         // Keys of other variants are ignored whatever their type.
@@ -1777,11 +1743,6 @@ mod tests {
         assert!(text.contains("\"trace\":[43981,7]"), "{text}");
         let back: ReachRequest = decode(&frame[..frame.len() - 1]).unwrap();
         assert_eq!(back.trace, Some(ctx));
-        // …and the named-object form a hand-rolled client might send is
-        // accepted on decode too.
-        let raw = br#"{"v":1,"locations":["US"],"interests":[0,5],"trace":{"trace_id":43981,"parent_span_id":7}}"#;
-        let named: ReachRequest = decode(raw).unwrap();
-        assert_eq!(named.trace, Some(ctx));
         // v1 and v2-id-only frames decode with trace None.
         let raw = br#"{"v":1,"locations":["US"],"interests":[0,5]}"#;
         let request: ReachRequest = decode(raw).unwrap();
@@ -1790,6 +1751,22 @@ mod tests {
         let request: ReachRequest = decode(raw).unwrap();
         assert_eq!(request.id, Some(12));
         assert_eq!(request.trace, None);
+    }
+
+    #[test]
+    fn named_trace_and_timing_forms_are_refused() {
+        // Only the compact arrays are wire forms; an object in their place
+        // is a typed refusal, not a second spelling.
+        let raw = br#"{"v":1,"locations":["US"],"interests":[0,5],"trace":{"trace_id":43981,"parent_span_id":7}}"#;
+        assert_eq!(
+            decode::<ReachRequest>(raw),
+            Err(FrameError::WrongType { key: "trace", expected: "an array" })
+        );
+        let raw = br#"{"kind":"reach","reported":9000,"floored":true,"too_narrow_warning":false,"st":{"queue_ns":1,"handler_ns":2,"cache_hit":true,"engine_ns":3}}"#;
+        assert_eq!(
+            decode_response_frame(raw),
+            Err(FrameError::WrongType { key: "st", expected: "an array" })
+        );
     }
 
     #[test]

@@ -78,19 +78,17 @@ pub struct ServerConfig {
     pub era: ReportingEra,
     /// Per-connection rate limit.
     pub rate_limit: RateLimitConfig,
-    /// Query-cache knobs. The default honours the `UOF_REACH_CACHE*`
-    /// environment variables (set `UOF_REACH_CACHE=0` to disable caching);
-    /// explicit construction pins the behaviour regardless of environment.
+    /// Query-cache knobs; the default caches.
     pub cache: CacheConfig,
     /// Telemetry domain. `None` (the default) records into the
-    /// process-global instance (built from `UOF_TELEMETRY*` on first
-    /// touch), so engine spans and server metrics land in the one registry
-    /// the `StatsSnapshot` opcode dumps. `Some(config)` gives the server a
-    /// private pinned instance regardless of environment — loopback tests
-    /// use this to observe metrics without ambient interference.
+    /// process-global instance (disabled until a caller turns it on), so
+    /// engine spans and server metrics land in the one registry the
+    /// `StatsSnapshot` opcode dumps. `Some(config)` gives the server a
+    /// private instance — loopback tests use this to observe metrics apart
+    /// from the rest of the process.
     pub telemetry: Option<TelemetryConfig>,
-    /// Posting-list index knob. The default honours `UOF_REACH_INDEX`;
-    /// when enabled, `sampled` requests are answered from a bit-packed
+    /// Posting-list index knob; the default leaves it off. When
+    /// enabled, `sampled` requests are answered from a bit-packed
     /// index grown on demand (interests materialize on first use and are
     /// rebuilt when the world's generation moves). Disabled, `sampled`
     /// requests get [`ReachResponse::Error`]. The float engine remains the
@@ -115,9 +113,9 @@ impl Default for ServerConfig {
         Self {
             era: ReportingEra::Early2017,
             rate_limit: RateLimitConfig::default(),
-            cache: CacheConfig::from_env(),
+            cache: CacheConfig::default(),
             telemetry: None,
-            index: IndexConfig::from_env(),
+            index: IndexConfig::default(),
             write_timeout: Duration::from_secs(5),
             shard: None,
         }
@@ -342,7 +340,9 @@ impl FrameHandler for Engine<'_> {
             Op::Query { kind, shard } => (kind, shard),
         };
         if kind == QueryKind::Sampled && !self.config.index.enabled {
-            return Err("sampled reach requires the posting-list index (UOF_REACH_INDEX=1)".into());
+            return Err(
+                "sampled reach requires the posting-list index (ServerConfig::index)".into()
+            );
         }
         let (spec, filter) = validate(request, kind, world)?;
         let ids = spec.interests();

@@ -304,7 +304,7 @@ fn pipeline_returns_the_batch_in_request_order() {
     use fbsim_population::index::IndexConfig;
     let server = start_server(ServerConfig {
         rate_limit: RateLimitConfig { capacity: 100.0, refill_per_second: 100.0 },
-        index: IndexConfig::enabled(), // pinned: immune to UOF_REACH_INDEX
+        index: IndexConfig::enabled(),
         ..ServerConfig::default()
     });
     let locations =

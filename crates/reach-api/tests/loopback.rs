@@ -197,8 +197,7 @@ fn nested_sequence_collection_over_socket() {
     }
 }
 
-/// A server with the cache pinned on, immune to the `UOF_REACH_CACHE=0` CI
-/// sweep: explicit configs never consult the environment.
+/// A server with the cache pinned on.
 fn cached_server() -> ReachServer {
     start_server(ServerConfig { cache: CacheConfig::default(), ..ServerConfig::default() })
 }
@@ -384,10 +383,8 @@ fn sampled_reach_matches_locally_built_index() {
     use fbsim_population::reach::CountryFilter;
     use fbsim_population::InterestId;
 
-    let server = start_server(ServerConfig {
-        index: IndexConfig::enabled(), // pinned: immune to UOF_REACH_INDEX
-        ..ServerConfig::default()
-    });
+    let server =
+        start_server(ServerConfig { index: IndexConfig::enabled(), ..ServerConfig::default() });
     let mut client = ReachClient::connect(server.addr()).unwrap();
     // Deliberately unsorted with a duplicate: the server canonicalizes
     // sampled queries like scalar ones.
@@ -421,13 +418,11 @@ fn sampled_reach_matches_locally_built_index() {
 #[test]
 fn sampled_reach_without_index_is_an_error_not_a_hangup() {
     use fbsim_population::index::IndexConfig;
-    let server = start_server(ServerConfig {
-        index: IndexConfig::disabled(), // pinned: immune to UOF_REACH_INDEX
-        ..ServerConfig::default()
-    });
+    let server =
+        start_server(ServerConfig { index: IndexConfig::disabled(), ..ServerConfig::default() });
     let mut client = ReachClient::connect(server.addr()).unwrap();
     match client.sampled_reach(&["US"], &[0]) {
-        Err(ClientError::Server(m)) => assert!(m.contains("UOF_REACH_INDEX"), "{m}"),
+        Err(ClientError::Server(m)) => assert!(m.contains("ServerConfig::index"), "{m}"),
         other => panic!("expected a server error, got {other:?}"),
     }
     // The connection survives the refusal: the float path still answers.

@@ -4,8 +4,8 @@
 //! The reference is `serde_json` over the protocol types' serde derives,
 //! plus the envelope the wire used around it: `"id":N,` and
 //! `"st":[…],` spliced in front of the response body on encode, and on
-//! decode a second parse for `id` and the timing echo (`st`, else
-//! `server_timing`, each as the compact array or the named object).
+//! decode a second parse for `id` and the timing echo `st` (the compact
+//! array; the trace context is the compact pair likewise).
 //!
 //! The codec must write the reference's bytes exactly and accept exactly
 //! the frames the reference accepts, with the same values. The only frames
@@ -160,19 +160,13 @@ struct RefTiming(ServerTiming);
 
 impl<'de> serde::Deserialize<'de> for RefTiming {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        use serde::{field, Value};
+        use serde::Value;
         match value {
             Value::Array(items) if items.len() == 4 => Ok(RefTiming(ServerTiming {
                 queue_ns: u64::from_value(&items[0])?,
                 handler_ns: u64::from_value(&items[1])?,
                 cache_hit: u64::from_value(&items[2])? != 0,
                 engine_ns: u64::from_value(&items[3])?,
-            })),
-            Value::Object(_) => Ok(RefTiming(ServerTiming {
-                queue_ns: u64::from_value(field(value, "queue_ns")?)?,
-                handler_ns: u64::from_value(field(value, "handler_ns")?)?,
-                cache_hit: bool::from_value(field(value, "cache_hit")?)?,
-                engine_ns: u64::from_value(field(value, "engine_ns")?)?,
             })),
             other => Err(serde::Error::msg(format!("not a server timing: {other:?}"))),
         }
@@ -184,13 +178,12 @@ impl<'de> serde::Deserialize<'de> for RefTiming {
 struct RefEnvelope {
     id: Option<u64>,
     st: Option<RefTiming>,
-    server_timing: Option<RefTiming>,
 }
 
 fn reference_decode_response(frame: &[u8]) -> Result<ResponseFrame, serde::Error> {
     let envelope: RefEnvelope = serde_json::from_slice(frame)?;
     let response: ReachResponse = serde_json::from_slice(frame)?;
-    let server_timing = envelope.st.or(envelope.server_timing).map(|t| t.0);
+    let server_timing = envelope.st.map(|t| t.0);
     Ok(ResponseFrame { id: envelope.id, server_timing, response })
 }
 
@@ -496,41 +489,15 @@ fn obj(rng: &mut StdRng, mut pairs: Vec<(&str, J)>) -> J {
     J::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-fn trace_json(rng: &mut StdRng, t: TraceContext) -> J {
-    if rng.gen_bool(0.5) {
-        return ints(&[t.trace_id, t.parent_span_id]);
-    }
-    let note = junk(rng, 1);
-    obj(
-        rng,
-        vec![
-            ("trace_id", J::Int(t.trace_id)),
-            ("parent_span_id", J::Int(t.parent_span_id)),
-            ("note", note),
-        ],
-    )
-}
-
 fn timing_json(rng: &mut StdRng, t: &ServerTiming) -> J {
-    if rng.gen_bool(0.5) {
-        let hit = if t.cache_hit { rng.gen_range(1..9u64) } else { 0 };
-        return ints(&[t.queue_ns, t.handler_ns, hit, t.engine_ns]);
-    }
-    obj(
-        rng,
-        vec![
-            ("queue_ns", J::Int(t.queue_ns)),
-            ("handler_ns", J::Int(t.handler_ns)),
-            ("cache_hit", J::Bool(t.cache_hit)),
-            ("engine_ns", J::Int(t.engine_ns)),
-        ],
-    )
+    let hit = if t.cache_hit { rng.gen_range(1..9u64) } else { 0 };
+    ints(&[t.queue_ns, t.handler_ns, hit, t.engine_ns])
 }
 
 fn request_frame(rng: &mut StdRng, r: &ReachRequest) -> Vec<u8> {
     let flag = |b: Option<bool>| b.map(J::Bool);
     let interests: Vec<u64> = r.interests.iter().map(|&i| u64::from(i)).collect();
-    let trace = r.trace.map(|t| trace_json(rng, t));
+    let trace = r.trace.map(|t| ints(&[t.trace_id, t.parent_span_id]));
     let pairs = vec![
         ("v", Some(J::Int(u64::from(r.v)))),
         ("locations", Some(J::Arr(r.locations.iter().map(|l| J::Str(l.clone())).collect()))),
@@ -616,16 +583,12 @@ fn response_frame(rng: &mut StdRng, f: &ResponseFrame) -> Vec<u8> {
     }
     pairs.push(("id", f.id.map(J::Int)));
     if let Some(t) = f.server_timing {
-        match rng.gen_range(0..3u32) {
-            0 => pairs.push(("st", Some(timing_json(rng, &t)))),
-            1 => pairs.push(("server_timing", Some(timing_json(rng, &t)))),
-            _ => {
-                // Both: `st` wins, so `server_timing` carries a decoy.
-                let decoy = gen_timing(rng);
-                pairs.push(("st", Some(timing_json(rng, &t))));
-                pairs.push(("server_timing", Some(timing_json(rng, &decoy))));
-            }
-        }
+        pairs.push(("st", Some(timing_json(rng, &t))));
+    }
+    if rng.gen_bool(0.25) {
+        // The retired named key is no envelope key: both paths skip it.
+        let decoy = gen_timing(rng);
+        pairs.push(("server_timing", Some(timing_json(rng, &decoy))));
     }
     frame_of(rng, pairs)
 }
@@ -767,13 +730,14 @@ fn adversarial_corpus_yields_typed_errors() {
         // Duplicate keys, at the top level and inside nested objects.
         (format!("{base},\"v\":2}}").into_bytes(), Some(FrameError::DuplicateKey("v"))),
         (format!("{base},\"i\\u0064\":1,\"id\":2}}").into_bytes(), Some(FrameError::DuplicateKey("id"))),
-        (format!("{base},\"trace\":{{\"trace_id\":1,\"trace_id\":2,\"parent_span_id\":3}}}}").into_bytes(), Some(FrameError::DuplicateKey("trace_id"))),
         (format!("{{{body},\"kind\":\"reach\"}}").into_bytes(), Some(FrameError::DuplicateKey("kind"))),
         (r#"{"kind":"nested","reaches":[{"reported":1,"reported":2,"floored":true,"too_narrow_warning":false}]}"#.into(), Some(FrameError::DuplicateKey("reported"))),
         (format!("{base},\"x\":1,\"x\":2}}").into_bytes(), None),
         // Wrong types and missing keys.
         (r#"{"v":1,"locations":[7],"interests":[0]}"#.into(), Some(FrameError::WrongType { key: "locations", expected: "a string" })),
         (r#"{"v":1,"locations":["US"]}"#.into(), Some(FrameError::Malformed("missing key `interests`".into()))),
+        (format!("{base},\"trace\":{{\"trace_id\":1,\"parent_span_id\":3}}}}").into_bytes(), Some(FrameError::WrongType { key: "trace", expected: "an array" })),
+        (format!("{{{body},\"st\":{{\"queue_ns\":1,\"handler_ns\":2,\"cache_hit\":true,\"engine_ns\":3}}}}").into_bytes(), Some(FrameError::WrongType { key: "st", expected: "an array" })),
         // Odd spellings both paths accept or refuse together.
         (format!("{base},\"locations\":[\"\\u+041\"]}}").into_bytes(), None),
         (r#"{"v":1,"locations":["\u+041S"],"interests":[]}"#.into(), None),

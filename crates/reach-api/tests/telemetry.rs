@@ -2,9 +2,8 @@
 //! opcode, per-opcode counters and latency histograms, wire backward
 //! compatibility, and the disabled-telemetry inert path.
 //!
-//! Every server here pins an explicit [`TelemetryConfig`] so the assertions
-//! are immune to the `UOF_TELEMETRY` CI sweeps — explicit configs never
-//! consult the environment.
+//! Every server here carries a private [`TelemetryConfig`] domain, so its
+//! assertions see only its own metrics.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -247,7 +246,7 @@ fn trace_context_requests_get_the_timing_echo_and_join_the_trace() {
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let tagged = b"{\"v\":1,\"locations\":[\"US\",\"FR\"],\"interests\":[3],\"id\":9,\
-                   \"trace\":{\"trace_id\":1,\"parent_span_id\":2}}\n";
+                   \"trace\":[1,2]}\n";
 
     // The reference client already ran this exact query, so the tagged
     // resend is answered from cache — the echo must say so.
@@ -269,7 +268,7 @@ fn trace_context_requests_get_the_timing_echo_and_join_the_trace() {
 
     // A cold query through the same tagged path reports engine time.
     let cold = b"{\"v\":1,\"locations\":[\"US\",\"FR\"],\"interests\":[3,19],\"id\":10,\
-                 \"trace\":{\"trace_id\":1,\"parent_span_id\":2}}\n";
+                 \"trace\":[1,2]}\n";
     stream.write_all(cold).unwrap();
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();

@@ -3,16 +3,6 @@
 use serde::{Deserialize, Serialize};
 
 /// Tuning knobs for the reach cache.
-///
-/// [`CacheConfig::from_env`] honours the operational environment variables
-/// (the same convention as `UOF_THREADS`/`UOF_SCALE` elsewhere in the
-/// workspace); explicit construction ignores the environment entirely, so
-/// tests pin their own configuration regardless of how the suite is run:
-///
-/// * `UOF_REACH_CACHE` — `0`/`false`/`off`/`no` disables caching (every
-///   query recomputes; results are bit-identical either way);
-/// * `UOF_REACH_CACHE_CAPACITY` — conjunction-cache entry budget;
-/// * `UOF_REACH_CACHE_SHARDS` — shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// Whether the cache is consulted at all.
@@ -33,23 +23,6 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// The default configuration adjusted by `UOF_REACH_CACHE*` environment
-    /// variables. Unparseable or out-of-range values fall back to defaults.
-    pub fn from_env() -> Self {
-        let mut config = Self::default();
-        if let Ok(raw) = std::env::var("UOF_REACH_CACHE") {
-            let flag = raw.trim().to_ascii_lowercase();
-            config.enabled = !matches!(flag.as_str(), "0" | "false" | "off" | "no");
-        }
-        if let Some(capacity) = parse_env("UOF_REACH_CACHE_CAPACITY") {
-            config.capacity = capacity;
-        }
-        if let Some(shards) = parse_env("UOF_REACH_CACHE_SHARDS") {
-            config.shards = shards;
-        }
-        config
-    }
-
     /// Checks the knobs describe a usable cache.
     ///
     /// # Errors
@@ -68,17 +41,11 @@ impl CacheConfig {
         Ok(())
     }
 
-    /// A disabled configuration (every query recomputes).
+    /// A disabled configuration (every query recomputes; answers are
+    /// bit-identical either way).
     pub fn disabled() -> Self {
         Self { enabled: false, ..Self::default() }
     }
-}
-
-/// Parses a positive integer from the environment; `None` when absent,
-/// unparseable, or zero.
-fn parse_env(name: &str) -> Option<usize> {
-    // lint:allow(env-read-outside-config) — parsing helper invoked only by CacheConfig::from_env
-    std::env::var(name).ok()?.trim().parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
 /// A point-in-time snapshot of the cache's state and event counters, as

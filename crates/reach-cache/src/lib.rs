@@ -98,11 +98,6 @@ impl ReachCache {
         }
     }
 
-    /// A cache configured from `UOF_REACH_CACHE*` environment variables.
-    pub fn from_env() -> Self {
-        Self::new(CacheConfig::from_env())
-    }
-
     /// The configuration the cache was built with.
     pub fn config(&self) -> &CacheConfig {
         &self.config

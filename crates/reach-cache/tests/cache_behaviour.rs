@@ -13,8 +13,6 @@ fn test_world(seed: u64) -> World {
 }
 
 fn cache() -> ReachCache {
-    // Explicit config: immune to UOF_REACH_CACHE* environment overrides, so
-    // the suite behaves the same under the disabled-cache CI sweep.
     ReachCache::new(CacheConfig::default())
 }
 

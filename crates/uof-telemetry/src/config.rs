@@ -1,51 +1,19 @@
 //! Telemetry configuration knobs.
 
-use std::path::PathBuf;
-
-/// Tuning knobs for the telemetry layer.
-///
-/// [`TelemetryConfig::from_env`] honours the operational environment
-/// variables (the same convention as `UOF_THREADS`/`UOF_REACH_CACHE`
-/// elsewhere in the workspace); explicit construction ignores the
-/// environment entirely, so tests pin their own configuration regardless
-/// of how the suite is run:
-///
-/// * `UOF_TELEMETRY` — truthy (anything but `0`/`false`/`off`/`no`)
-///   enables metric recording and span timing; default is **disabled**
-///   (inert guards, no clock reads);
-/// * `UOF_TELEMETRY_TRACE_PATH` — path of a JSONL file that receives one
-///   trace event per completed span. Setting it implies `enabled` unless
-///   `UOF_TELEMETRY` explicitly disables telemetry.
+/// Tuning knobs for the telemetry layer. A trace sink is attached at run
+/// time with
+/// [`Telemetry::attach_trace_writer`](crate::Telemetry::attach_trace_writer).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
-    /// Whether metrics and span timings are recorded at all.
+    /// Whether metrics and span timings are recorded at all. Disabled (the
+    /// default), spans are inert guards that read no clock.
     pub enabled: bool,
-    /// JSONL trace sink; `None` means spans only feed histograms.
-    pub trace_path: Option<PathBuf>,
 }
 
 impl TelemetryConfig {
-    /// The default (disabled) configuration adjusted by `UOF_TELEMETRY*`
-    /// environment variables.
-    pub fn from_env() -> Self {
-        let mut config = Self::default();
-        if let Ok(raw) = std::env::var("UOF_TELEMETRY_TRACE_PATH") {
-            let path = raw.trim().to_string();
-            if !path.is_empty() {
-                config.trace_path = Some(PathBuf::from(path));
-                config.enabled = true;
-            }
-        }
-        if let Ok(raw) = std::env::var("UOF_TELEMETRY") {
-            let flag = raw.trim().to_ascii_lowercase();
-            config.enabled = !matches!(flag.as_str(), "" | "0" | "false" | "off" | "no");
-        }
-        config
-    }
-
-    /// An enabled configuration with no trace sink.
+    /// An enabled configuration.
     pub fn enabled() -> Self {
-        Self { enabled: true, trace_path: None }
+        Self { enabled: true }
     }
 
     /// A disabled configuration (the default; spelled out for symmetry
@@ -63,14 +31,7 @@ mod tests {
     fn default_is_disabled() {
         let config = TelemetryConfig::default();
         assert!(!config.enabled);
-        assert!(config.trace_path.is_none());
         assert_eq!(config, TelemetryConfig::disabled());
-    }
-
-    #[test]
-    fn enabled_has_no_trace_sink() {
-        let config = TelemetryConfig::enabled();
-        assert!(config.enabled);
-        assert!(config.trace_path.is_none());
+        assert!(TelemetryConfig::enabled().enabled);
     }
 }

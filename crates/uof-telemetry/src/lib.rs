@@ -30,15 +30,13 @@
 //!
 //! # Configuration
 //!
-//! The process-global instance ([`global`]) is built from
-//! [`TelemetryConfig::from_env`] on first touch: `UOF_TELEMETRY=1` enables
-//! recording, `UOF_TELEMETRY_TRACE_PATH=/tmp/trace.jsonl` additionally
-//! streams span events. The environment is read only in `from_env`;
-//! explicitly constructed instances ([`Telemetry::new`]) ignore it, so
-//! tests pin their own configuration. Runtime toggles
-//! ([`Telemetry::set_enabled`], [`Telemetry::attach_trace_writer`]) exist
-//! so a single process can compare modes — the determinism tests flip them
-//! between runs.
+//! Nothing in this crate reads the environment. The process-global
+//! instance ([`global`]) starts disabled; explicit instances
+//! ([`Telemetry::new`]) take the [`TelemetryConfig`] their caller builds.
+//! Runtime toggles ([`Telemetry::set_enabled`],
+//! [`Telemetry::attach_trace_writer`]) switch an instance into recording or
+//! tracing — perfbench's `--trace` run and the determinism tests flip them
+//! between runs of one process.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,8 +69,8 @@ pub const TRACE_DROPPED_COUNTER: &str = "telemetry.trace.dropped";
 /// optional trace sink.
 ///
 /// Most code uses the process-global instance through [`global`] and the
-/// [`span!`] macro; the reach server can also carry a private pinned
-/// instance so loopback tests are immune to the ambient environment.
+/// [`span!`] macro; the reach server can also carry a private instance
+/// so loopback tests observe their own metrics apart from the global.
 pub struct Telemetry {
     enabled: AtomicBool,
     registry: Registry,
@@ -102,27 +100,16 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// An instance honouring `config` exactly (the environment is not
-    /// consulted). A configured trace path that cannot be opened degrades
-    /// to metrics-only — telemetry never fails the process.
+    /// An instance honouring `config`, with no trace sink attached.
     pub fn new(config: &TelemetryConfig) -> Self {
-        let tracer = match (&config.trace_path, config.enabled) {
-            (Some(path), true) => Tracer::open(path),
-            _ => None,
-        };
         Self {
             enabled: AtomicBool::new(config.enabled),
             registry: Registry::new(),
-            tracing: AtomicBool::new(tracer.is_some()),
-            tracer: Mutex::new(tracer),
+            tracing: AtomicBool::new(false),
+            tracer: Mutex::new(None),
             origin: Instant::now(),
             seq: AtomicU64::new(0),
         }
-    }
-
-    /// An instance configured from `UOF_TELEMETRY{,_TRACE_PATH}`.
-    pub fn from_env() -> Self {
-        Self::new(&TelemetryConfig::from_env())
     }
 
     /// Whether recording is on (one relaxed load; the short-circuit every
@@ -234,11 +221,11 @@ impl Telemetry {
     }
 }
 
-/// The process-global telemetry instance, built from the environment
-/// (`UOF_TELEMETRY{,_TRACE_PATH}`) on first touch.
+/// The process-global telemetry instance, disabled until a caller turns it
+/// on ([`Telemetry::set_enabled`], [`Telemetry::attach_trace_writer`]).
 pub fn global() -> &'static Telemetry {
     static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
-    GLOBAL.get_or_init(Telemetry::from_env)
+    GLOBAL.get_or_init(Telemetry::default)
 }
 
 /// A shared handle to an explicit telemetry instance — what the reach
@@ -470,22 +457,10 @@ mod tests {
 
     #[test]
     fn global_span_macro_compiles_against_global_instance() {
-        // The ambient environment decides whether this records; either way
-        // the guard must construct and drop cleanly.
+        // Other tests may have switched the global on; either way the guard
+        // must construct and drop cleanly.
         let guard = span!("telemetry.selftest", n = 1u64, label = "unit");
         drop(guard);
         let _ = global().snapshot();
-    }
-
-    #[test]
-    fn unopenable_trace_path_degrades_to_metrics_only() {
-        let config = TelemetryConfig {
-            enabled: true,
-            trace_path: Some("/nonexistent-dir-uof/trace.jsonl".into()),
-        };
-        let telemetry = Telemetry::new(&config);
-        assert!(telemetry.is_enabled());
-        drop(telemetry.span("degraded").start());
-        assert_eq!(telemetry.snapshot().histogram("degraded").map(|h| h.count), Some(1));
     }
 }

@@ -70,9 +70,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// `[trace_id, parent_span_id]` — it is attached to **every** frame of a
 /// traced run, and a two-element array parses in a fraction of the time a
 /// named object takes, which keeps context propagation cheap on the warm
-/// request path. Deserialization also accepts the named-object form
-/// `{"trace_id":…,"parent_span_id":…}` so hand-rolled clients can send
-/// either.
+/// request path. It is the only form: an object is refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// Trace the span belongs to (the root span's own id).
@@ -97,12 +95,8 @@ impl<'de> Deserialize<'de> for TraceContext {
                 trace_id: u64::from_value(&items[0])?,
                 parent_span_id: u64::from_value(&items[1])?,
             }),
-            serde::Value::Object(_) => Ok(TraceContext {
-                trace_id: u64::from_value(serde::field(value, "trace_id")?)?,
-                parent_span_id: u64::from_value(serde::field(value, "parent_span_id")?)?,
-            }),
             other => Err(serde::Error::msg(format!(
-                "expected [trace_id, parent_span_id] or a trace-context object, got {other:?}"
+                "expected [trace_id, parent_span_id], got {other:?}"
             ))),
         }
     }

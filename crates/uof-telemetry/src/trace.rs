@@ -64,18 +64,9 @@ impl std::fmt::Debug for Tracer {
 
 impl Tracer {
     /// A tracer over an arbitrary writer (tests pass a `Vec<u8>` proxy;
-    /// production passes an append-mode file).
+    /// perfbench passes a buffered file).
     pub fn new(sink: Box<dyn Write + Send>) -> Self {
         Self { sink: Mutex::new(sink) }
-    }
-
-    /// A tracer appending to the file at `path`, or `None` when the file
-    /// cannot be opened — tracing degrades to "off" rather than failing
-    /// the process. Append mode lets concurrent test binaries share one
-    /// trace file during environment sweeps.
-    pub fn open(path: &std::path::Path) -> Option<Self> {
-        let file = std::fs::OpenOptions::new().create(true).append(true).open(path).ok()?;
-        Some(Self::new(Box::new(std::io::BufWriter::new(file))))
     }
 
     /// Serializes `event` as one JSON line. Errors (serialization or I/O)
@@ -170,11 +161,5 @@ mod tests {
         });
         assert!(!delivered);
         tracer.flush();
-    }
-
-    #[test]
-    fn open_bad_path_degrades_to_none() {
-        let path = std::path::Path::new("/nonexistent-dir-uof/trace.jsonl");
-        assert!(Tracer::open(path).is_none());
     }
 }

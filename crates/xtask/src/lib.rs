@@ -17,8 +17,8 @@
 //!   [`Rule::NoPrintInLibrary`] — carried over from the line engine,
 //!   re-expressed as token patterns;
 //! * [`Rule::EnvReadOutsideConfig`] — only `from_env`-style constructors
-//!   may read `UOF_*` environment knobs (explicit configs stay immune to
-//!   the CI sweeps);
+//!   may read `UOF_*` environment knobs, so no other code's behaviour
+//!   depends on ambient process state;
 //! * [`Rule::HashMapIteration`] — no hash-order iteration in
 //!   simulation/cache code whose outputs must be bit-identical;
 //! * [`Rule::WallclockInSim`] — no `Instant::now` / `SystemTime::now` in

@@ -1,13 +1,13 @@
 //! `env-read-outside-config`: `std::env::var` of a `UOF_*` knob outside a
 //! `from_env`-style constructor.
 //!
-//! The workspace's configuration contract (established with the cache and
-//! telemetry layers) is that **only `from_env` constructors read the
-//! environment**; explicitly constructed configs are immune, which is what
-//! lets the CI sweeps (`UOF_REACH_CACHE=0`, `UOF_TELEMETRY=1`, …) run the
-//! whole suite without perturbing tests that pin their own configuration.
-//! An `env::var("UOF_…")` call anywhere else silently couples behaviour to
-//! ambient state.
+//! The workspace's configuration contract is that a config is the value
+//! its caller builds: the serving and simulation libraries read no
+//! environment at all, so an answer cannot change with ambient process
+//! state, and the few operational knobs that remain (the bench harness's
+//! `UOF_SCALE` and `UOF_SEED`) are read **only by `from_env` functions**,
+//! where a reader can find every one. An `env::var("UOF_…")` call anywhere
+//! else silently couples behaviour to ambient state.
 //!
 //! The rule fires on `env::var` / `env::var_os` calls when the innermost
 //! enclosing function's name does not contain `from_env`, and the argument

@@ -36,8 +36,8 @@ pub enum Rule {
     /// should report through the telemetry layer instead of stdio.
     NoPrintInLibrary,
     /// `std::env::var` of a `UOF_*` knob (or of a non-literal name) outside
-    /// a `from_env`-style constructor — the "explicit configs are immune to
-    /// the environment" contract.
+    /// a `from_env`-style constructor — the "a config is the value its
+    /// caller builds" contract.
     EnvReadOutsideConfig,
     /// Iterating a `std::collections::HashMap` / `HashSet` in
     /// order-policed (simulation / cache) code: iteration order is

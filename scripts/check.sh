@@ -3,22 +3,21 @@
 #
 #   scripts/check.sh          # fmt check + lint + release builds + tests
 #
-# Tests run five times: once strictly sequentially (UOF_THREADS=1), once
-# at the default thread count — so a scheduling-dependent regression in the
-# parallel pipeline cannot hide behind either configuration — once with
-# the reach query cache disabled (UOF_REACH_CACHE=0), so nothing silently
-# depends on cached answers, once with telemetry recording enabled
-# (UOF_TELEMETRY=1), so instrumentation can never perturb an output, and
-# once with the posting-list index enabled (UOF_REACH_INDEX=1), so the
-# sampled-count path cannot perturb the float oracle. Tests that assert
-# cache, telemetry, or index behaviour construct explicit configs and are
-# immune to the sweeps. The per-crate sweeps below run suites the root
-# `cargo test` does not reach: the reach kernel (`fbsim-population`,
+# The root suite runs twice: once strictly sequentially (UOF_THREADS=1)
+# and once at the default thread count, so a scheduling-dependent
+# regression in the parallel pipeline cannot hide behind either
+# configuration. Cache, index, telemetry and deployment shape are not
+# swept through the environment: `tests/config_matrix.rs` builds every
+# combination as an explicit config and checks that each answers byte for
+# byte like the reference node. The per-crate sweeps below run suites the
+# root `cargo test` does not reach: the reach kernel (`fbsim-population`,
 # including its row-at-a-time oracle), the whole `reach-api` suite (unit
 # tests plus lifecycle, loopback, proptests — the wire codec's differential
 # check against serde_json — router and telemetry), the vendored
 # `serde_json` parser's own tests (outside the workspace), and the
-# marketplace.
+# marketplace. The last step builds and tests the repository benchmark
+# (`perfbench/`, its own workspace), so a change that breaks its build or
+# its `correct` check fails here.
 #
 # Each step fails fast; run from anywhere inside the repo.
 set -euo pipefail
@@ -54,15 +53,6 @@ UOF_THREADS=1 cargo test -q
 echo "==> cargo test -q (default thread count)"
 cargo test -q
 
-echo "==> cargo test -q (UOF_REACH_CACHE=0, query cache disabled)"
-UOF_REACH_CACHE=0 cargo test -q
-
-echo "==> cargo test -q (UOF_TELEMETRY=1, telemetry recording enabled)"
-UOF_TELEMETRY=1 cargo test -q
-
-echo "==> cargo test -q (UOF_REACH_INDEX=1, posting-list index enabled)"
-UOF_REACH_INDEX=1 cargo test -q
-
 echo "==> reach-kernel sweep (fbsim-population suite incl. the row-oracle proptest, UOF_THREADS=1 and default)"
 UOF_THREADS=1 cargo test -q -p fbsim-population
 cargo test -q -p fbsim-population
@@ -74,16 +64,19 @@ cargo test -q -p reach-api
 echo "==> vendored serde_json parser (depth cap, linear-time strings)"
 cargo test -q --offline --manifest-path vendor/serde_json/Cargo.toml
 
-echo "==> traced smoke sweep (UOF_TELEMETRY=1 + trace path; trace-report must reconstruct >= 1 complete trace)"
-TRACE_JSONL="$(mktemp)"
-UOF_TELEMETRY=1 UOF_TELEMETRY_TRACE_PATH="$TRACE_JSONL" cargo test -q -p reach-api --test loopback
-cargo run -q -p xtask -- trace-report "$TRACE_JSONL" --min-complete 1 > /dev/null
-rm -f "$TRACE_JSONL"
-
 echo "==> marketplace smoke sweep (auction/pacing determinism + zero-competition bit-identity, UOF_THREADS=1 and default)"
 UOF_THREADS=1 cargo test -q -p fbsim-marketplace
 UOF_THREADS=1 cargo test -q --test marketplace_equivalence
 cargo test -q -p fbsim-marketplace
 cargo test -q --test marketplace_equivalence
+
+echo "==> perfbench build + smoke test (every workload at test scale, traced and untraced)"
+# Building perfbench refreshes a stale entry in its own lockfile; put the
+# committed one back, so the gate leaves the benchmark's files as it found
+# them.
+PERFBENCH_LOCK="$(mktemp)"
+cp perfbench/Cargo.lock "$PERFBENCH_LOCK"
+trap 'cp "$PERFBENCH_LOCK" perfbench/Cargo.lock; rm -f "$LINT_JSON" "$PERFBENCH_LOCK"' EXIT
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> all checks passed"

@@ -38,8 +38,8 @@ fn networked_collection_matches_in_process() {
 
 #[test]
 fn cached_and_uncached_servers_agree_over_sockets() {
-    // Two servers over one world — the query cache pinned on for one and
-    // off for the other (explicit configs, immune to `UOF_REACH_CACHE`).
+    // Two servers over one world — the query cache on for one and off for
+    // the other.
     // Every answer must agree, including repeats the cached server serves
     // from memory, because a cached reach is bit-identical to a recomputed
     // one before the floor is applied.
