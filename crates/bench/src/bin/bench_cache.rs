@@ -11,56 +11,32 @@
 
 use fbsim_population::reach::CountryFilter;
 use fbsim_population::{InterestId, ReachEngine};
+use reach_api::proto::encode;
+use reach_api::ReachResponse;
 use reach_cache::{CacheConfig, CacheStats, ReachCache};
-use serde::Serialize;
 use std::time::Instant;
+use uof_telemetry::json::{self, Value};
 
 /// Prefix length seeded before the extension measurement.
 const PREFIX_LEN: usize = 20;
 /// Full sequence length (the paper's 25-interest ceiling).
 const SEQUENCE_LEN: usize = 25;
 
-#[derive(Serialize)]
-struct Timing {
-    disabled_secs: f64,
-    cold_secs: f64,
-    warm_secs: f64,
-    warm_speedup_vs_cold: f64,
+fn timing(disabled_secs: f64, cold_secs: f64, warm_secs: f64) -> Value {
+    Value::obj([
+        ("disabled_secs", disabled_secs.into()),
+        ("cold_secs", cold_secs.into()),
+        ("warm_secs", warm_secs.into()),
+        ("warm_speedup_vs_cold", (cold_secs / warm_secs).into()),
+    ])
 }
 
-impl Timing {
-    fn new(disabled_secs: f64, cold_secs: f64, warm_secs: f64) -> Self {
-        Timing { disabled_secs, cold_secs, warm_secs, warm_speedup_vs_cold: cold_secs / warm_secs }
-    }
-}
-
-#[derive(Serialize)]
-struct ExtensionTiming {
-    /// 25-interest sweeps from scratch (no resident prefix).
-    full_sweep_secs: f64,
-    /// The same sweeps resumed from resident 20-interest prefixes.
-    extended_secs: f64,
-    speedup: f64,
-}
-
-#[derive(Serialize)]
-struct Report {
-    bench: &'static str,
-    scale: String,
-    seed: u64,
-    threads: usize,
-    available_parallelism: usize,
-    audiences: usize,
-    sequences: usize,
-    interests_per_sequence: usize,
-    prefix_len: usize,
-    bit_identical_disabled_cold_warm: bool,
-    scalar: Timing,
-    nested: Timing,
-    prefix_extension: ExtensionTiming,
-    prefix_extensions_used: u64,
-    scalar_warm_stats: CacheStats,
-    nested_warm_stats: CacheStats,
+/// `stats` as the wire codec writes it in a `stats` response.
+fn stats_json(stats: CacheStats) -> Value {
+    let frame = encode(&ReachResponse::Stats { stats });
+    let text = std::str::from_utf8(&frame).expect("frames are UTF-8");
+    let body = json::parse(text.trim_end()).expect("codec output parses");
+    body.get("stats").cloned().expect("a stats response carries `stats`")
 }
 
 /// Interest sequences shaped like the paper's audiences: 25-interest walks
@@ -106,20 +82,6 @@ fn nested_pass(cache: &ReachCache, engine: &ReachEngine<'_>, seqs: &[Vec<Interes
     checksum
 }
 
-/// Times `f` with one warm-up and `reps` measured runs; returns the best
-/// wall-clock seconds and the (identical) checksum.
-fn time_best<F: Fn() -> u64>(reps: usize, f: F) -> (f64, u64) {
-    let checksum = f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let got = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        assert_eq!(got, checksum, "benchmark run was not deterministic");
-    }
-    (best, checksum)
-}
-
 /// Cache knobs for the bench: the default shape, but with a prefix budget
 /// comfortably above the working set. The default `prefix_capacity` is a
 /// deliberately small per-shard LRU; an unlucky shard distribution could
@@ -140,8 +102,6 @@ fn time_cold<F: Fn(&ReachCache) -> u64>(f: F) -> (f64, u64, ReachCache) {
 
 fn main() {
     let (scale, world) = bench::build_world();
-    let seed = bench::seed_from_env();
-    let threads = rayon::current_num_threads();
     let engine = world.reach_engine();
     let catalog_len = world.catalog().len() as u32;
     let seqs = sequences(catalog_len, 24);
@@ -151,21 +111,23 @@ fn main() {
 
     // --- Scalar conjunction workload -----------------------------------
     eprintln!("[run] scalar: {} audiences, disabled/cold/warm…", auds.len());
-    let (scalar_off, scalar_off_sum) = time_best(3, || scalar_pass(&disabled, &engine, &auds));
+    let (scalar_off, scalar_off_sum) =
+        bench::time_best(3, || scalar_pass(&disabled, &engine, &auds));
     let (scalar_cold, scalar_cold_sum, scalar_cache) =
         time_cold(|cache| scalar_pass(cache, &engine, &auds));
     let (scalar_warm, scalar_warm_sum) =
-        time_best(5, || scalar_pass(&scalar_cache, &engine, &auds));
+        bench::time_best(5, || scalar_pass(&scalar_cache, &engine, &auds));
     assert_eq!(scalar_off_sum, scalar_cold_sum, "cold cache must match uncached bits");
     assert_eq!(scalar_off_sum, scalar_warm_sum, "warm cache must match uncached bits");
 
     // --- Nested sweep workload ------------------------------------------
     eprintln!("[run] nested: {} sequences × {SEQUENCE_LEN}, disabled/cold/warm…", seqs.len());
-    let (nested_off, nested_off_sum) = time_best(3, || nested_pass(&disabled, &engine, &seqs));
+    let (nested_off, nested_off_sum) =
+        bench::time_best(3, || nested_pass(&disabled, &engine, &seqs));
     let (nested_cold, nested_cold_sum, nested_cache) =
         time_cold(|cache| nested_pass(cache, &engine, &seqs));
     let (nested_warm, nested_warm_sum) =
-        time_best(5, || nested_pass(&nested_cache, &engine, &seqs));
+        bench::time_best(5, || nested_pass(&nested_cache, &engine, &seqs));
     assert_eq!(nested_off_sum, nested_cold_sum, "cold cache must match uncached bits");
     assert_eq!(nested_off_sum, nested_warm_sum, "warm cache must match uncached bits");
 
@@ -194,31 +156,33 @@ fn main() {
         "warm cache must be at least 5x faster than cold: cold {cold_total:.4}s warm {warm_total:.4}s"
     );
 
-    let report = Report {
-        bench: "cache",
-        scale: format!("{scale:?}").to_lowercase(),
-        seed,
-        threads,
-        available_parallelism: bench::available_parallelism(),
-        audiences: auds.len(),
-        sequences: seqs.len(),
-        interests_per_sequence: SEQUENCE_LEN,
-        prefix_len: PREFIX_LEN,
-        bit_identical_disabled_cold_warm: true,
-        scalar: Timing::new(scalar_off, scalar_cold, scalar_warm),
-        nested: Timing::new(nested_off, nested_cold, nested_warm),
-        prefix_extension: ExtensionTiming {
-            full_sweep_secs: ext_full,
-            extended_secs: ext_secs,
-            speedup: ext_full / ext_secs,
-        },
-        prefix_extensions_used: extensions,
-        scalar_warm_stats: scalar_cache.stats(),
-        nested_warm_stats: nested_cache.stats(),
-    };
-    let rendered = serde_json::to_string(&report).expect("report serialises");
-    std::fs::write("BENCH_cache.json", &rendered).expect("write BENCH_cache.json");
-    println!("{rendered}");
+    let report = bench::report(
+        "cache",
+        scale,
+        [
+            ("audiences", auds.len().into()),
+            ("sequences", seqs.len().into()),
+            ("interests_per_sequence", SEQUENCE_LEN.into()),
+            ("prefix_len", PREFIX_LEN.into()),
+            ("bit_identical_disabled_cold_warm", true.into()),
+            ("scalar", timing(scalar_off, scalar_cold, scalar_warm)),
+            ("nested", timing(nested_off, nested_cold, nested_warm)),
+            (
+                "prefix_extension",
+                // 25-interest sweeps from scratch (no resident prefix) against
+                // the same sweeps resumed from resident 20-interest prefixes.
+                Value::obj([
+                    ("full_sweep_secs", ext_full.into()),
+                    ("extended_secs", ext_secs.into()),
+                    ("speedup", (ext_full / ext_secs).into()),
+                ]),
+            ),
+            ("prefix_extensions_used", extensions.into()),
+            ("scalar_warm_stats", stats_json(scalar_cache.stats())),
+            ("nested_warm_stats", stats_json(nested_cache.stats())),
+        ],
+    );
+    bench::write_report("BENCH_cache.json", &report).expect("write BENCH_cache.json");
     eprintln!(
         "[done] scalar {scalar_cold:.3}s cold → {scalar_warm:.6}s warm; \
          nested {nested_cold:.3}s cold → {nested_warm:.6}s warm; \

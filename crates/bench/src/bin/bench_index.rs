@@ -11,66 +11,22 @@
 use fbsim_population::index::{boolean_reference_count, ReachIndex, BLOCK_USERS};
 use fbsim_population::reach::CountryFilter;
 use fbsim_population::InterestId;
-use serde::Serialize;
 use std::time::Instant;
+use uof_telemetry::json::Value;
 
-#[derive(Serialize)]
-struct ConjunctionTiming {
-    interests: usize,
-    /// Seconds per float-engine panel scan of the conjunction.
-    scan_secs: f64,
-    /// Seconds per index AND-chain + popcount of the same conjunction.
-    index_secs: f64,
-    /// scan_secs / index_secs.
-    speedup: f64,
-}
-
-#[derive(Serialize)]
-struct Report {
-    bench: &'static str,
-    scale: String,
-    seed: u64,
-    threads: usize,
-    available_parallelism: usize,
-    panel_len: usize,
-    interests_built: usize,
-    /// One-off cost of materializing the queried posting lists.
-    build_secs: f64,
-    build_secs_per_interest: f64,
-    heap_bytes: usize,
-    bytes_per_interest: f64,
-    dense_containers: usize,
-    sparse_containers: usize,
-    blocks_per_interest: usize,
-    /// Index count == boolean reference scan, for every measured query.
-    index_matches_reference_scan: bool,
-    /// max |sampled − expected| / max(√expected, 1) over the
-    /// single-interest queries — the statistical-consistency view in σ
-    /// units (a realized Bernoulli count has ≈ √expected noise; values
-    /// within a few σ are consistent with the float engine).
-    max_single_interest_sigma: f64,
-    conjunction: ConjunctionTiming,
-    single_interest: ConjunctionTiming,
-}
-
-/// Times `f` with one warm-up and `reps` measured runs; returns the best
-/// wall-clock seconds and the (identical) checksum.
-fn time_best<F: Fn() -> u64>(reps: usize, f: F) -> (f64, u64) {
-    let checksum = f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let got = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        assert_eq!(got, checksum, "benchmark run was not deterministic");
-    }
-    (best, checksum)
+/// One query timed both ways: `scan_secs` per float-engine panel scan,
+/// `index_secs` per index AND-chain + popcount, and their ratio.
+fn conjunction_timing(interests: usize, scan_secs: f64, index_secs: f64) -> Value {
+    Value::obj([
+        ("interests", interests.into()),
+        ("scan_secs", scan_secs.into()),
+        ("index_secs", index_secs.into()),
+        ("speedup", (scan_secs / index_secs).into()),
+    ])
 }
 
 fn main() {
     let (scale, world) = bench::build_world();
-    let seed = bench::seed_from_env();
-    let threads = rayon::current_num_threads();
     let engine = world.reach_engine();
     let catalog_len = world.catalog().len() as u32;
 
@@ -92,11 +48,12 @@ fn main() {
     });
 
     eprintln!("[run] float-engine scan vs index AND-chain: 25-interest conjunction…");
-    let (scan_secs, _) =
-        time_best(5, || engine.conjunction_reach_in(&conjunction, CountryFilter::ALL).to_bits());
+    let (scan_secs, _) = bench::time_best(5, || {
+        engine.conjunction_reach_in(&conjunction, CountryFilter::ALL).to_bits()
+    });
     // The AND-chain is microseconds; time a batch and divide.
     const BATCH: u32 = 512;
-    let (index_batch_secs, _) = time_best(5, || {
+    let (index_batch_secs, _) = bench::time_best(5, || {
         let mut checksum = 0u64;
         for _ in 0..BATCH {
             checksum = checksum.rotate_left(7)
@@ -107,9 +64,10 @@ fn main() {
     let index_secs = index_batch_secs / f64::from(BATCH);
 
     eprintln!("[run] single-interest timings and statistical consistency…");
-    let (single_scan_secs, _) =
-        time_best(5, || engine.conjunction_reach_in(&singles[..1], CountryFilter::ALL).to_bits());
-    let (single_index_batch, _) = time_best(5, || {
+    let (single_scan_secs, _) = bench::time_best(5, || {
+        engine.conjunction_reach_in(&singles[..1], CountryFilter::ALL).to_bits()
+    });
+    let (single_index_batch, _) = bench::time_best(5, || {
         let mut checksum = 0u64;
         for _ in 0..BATCH {
             checksum = checksum.rotate_left(7)
@@ -144,39 +102,33 @@ fn main() {
     assert!(matches, "index diverged from the boolean reference scan");
 
     let heap_bytes = index.heap_bytes();
-    let report = Report {
-        bench: "index",
-        scale: format!("{scale:?}").to_lowercase(),
-        seed,
-        threads,
-        available_parallelism: bench::available_parallelism(),
-        panel_len: index.panel_len(),
-        interests_built: index.built_interests(),
-        build_secs,
-        build_secs_per_interest: build_secs / index.built_interests().max(1) as f64,
-        heap_bytes,
-        bytes_per_interest: heap_bytes as f64 / index.built_interests().max(1) as f64,
-        dense_containers: dense,
-        sparse_containers: sparse,
-        blocks_per_interest: index.panel_len().div_ceil(BLOCK_USERS),
-        index_matches_reference_scan: matches,
-        max_single_interest_sigma: max_sigma,
-        conjunction: ConjunctionTiming {
-            interests: conjunction.len(),
-            scan_secs,
-            index_secs,
-            speedup: scan_secs / index_secs,
-        },
-        single_interest: ConjunctionTiming {
-            interests: 1,
-            scan_secs: single_scan_secs,
-            index_secs: single_index_secs,
-            speedup: single_scan_secs / single_index_secs,
-        },
-    };
-    let rendered = serde_json::to_string(&report).expect("report serialises");
-    std::fs::write("BENCH_index.json", &rendered).expect("write BENCH_index.json");
-    println!("{rendered}");
+    let built = index.built_interests().max(1) as f64;
+    let report = bench::report(
+        "index",
+        scale,
+        [
+            ("panel_len", index.panel_len().into()),
+            ("interests_built", index.built_interests().into()),
+            // One-off cost of materializing the queried posting lists.
+            ("build_secs", build_secs.into()),
+            ("build_secs_per_interest", (build_secs / built).into()),
+            ("heap_bytes", heap_bytes.into()),
+            ("bytes_per_interest", (heap_bytes as f64 / built).into()),
+            ("dense_containers", dense.into()),
+            ("sparse_containers", sparse.into()),
+            ("blocks_per_interest", index.panel_len().div_ceil(BLOCK_USERS).into()),
+            // Index count == boolean reference scan, for every measured query.
+            ("index_matches_reference_scan", matches.into()),
+            // max |sampled − expected| / max(√expected, 1) over the
+            // single-interest queries — the statistical-consistency view in σ
+            // units (a realized Bernoulli count has ≈ √expected noise; values
+            // within a few σ are consistent with the float engine).
+            ("max_single_interest_sigma", max_sigma.into()),
+            ("conjunction", conjunction_timing(conjunction.len(), scan_secs, index_secs)),
+            ("single_interest", conjunction_timing(1, single_scan_secs, single_index_secs)),
+        ],
+    );
+    bench::write_report("BENCH_index.json", &report).expect("write BENCH_index.json");
     eprintln!(
         "[done] 25-interest conjunction: scan {scan_secs:.4}s vs index {index_secs:.7}s \
          ({:.0}× speedup); build {build_secs:.2}s for {} interests; wrote BENCH_index.json",

@@ -8,34 +8,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Timing {
-    sequential_secs: f64,
-    parallel_secs: f64,
-    speedup: f64,
-}
-
-impl Timing {
-    fn new(sequential_secs: f64, parallel_secs: f64) -> Self {
-        Timing { sequential_secs, parallel_secs, speedup: sequential_secs / parallel_secs }
-    }
-}
-
-#[derive(Serialize)]
-struct Report {
-    bench: &'static str,
-    threads: usize,
-    available_parallelism: usize,
-    files: usize,
-    findings_total: usize,
-    findings_active: usize,
-    findings_waived: usize,
-    json_bytes: usize,
-    byte_identical_across_thread_counts: bool,
-    walk: Timing,
-}
+use uof_telemetry::json::Value;
 
 fn workspace_root() -> PathBuf {
     // crates/bench/ -> workspace root is two levels up.
@@ -70,21 +43,19 @@ fn main() {
 
     let report = xtask::lint_workspace_report(&root).expect("workspace tree is readable");
     let active = report.active().count();
-    let out = Report {
-        bench: "lint",
-        threads,
-        available_parallelism: bench::available_parallelism(),
-        files: report.files,
-        findings_total: report.findings.len(),
-        findings_active: active,
-        findings_waived: report.findings.len() - active,
-        json_bytes: seq_json.len(),
-        byte_identical_across_thread_counts: true,
-        walk: Timing::new(seq_secs, par_secs),
-    };
-    let rendered = serde_json::to_string(&out).expect("report serialises");
-    std::fs::write("BENCH_lint.json", &rendered).expect("write BENCH_lint.json");
-    println!("{rendered}");
+    let out = Value::obj([
+        ("bench", "lint".into()),
+        ("threads", threads.into()),
+        ("available_parallelism", bench::available_parallelism().into()),
+        ("files", report.files.into()),
+        ("findings_total", report.findings.len().into()),
+        ("findings_active", active.into()),
+        ("findings_waived", (report.findings.len() - active).into()),
+        ("json_bytes", seq_json.len().into()),
+        ("byte_identical_across_thread_counts", true.into()),
+        ("walk", bench::thread_timing(seq_secs, par_secs)),
+    ]);
+    bench::write_report("BENCH_lint.json", &out).expect("write BENCH_lint.json");
     eprintln!(
         "[done] lint {} files: {seq_secs:.4}s → {par_secs:.4}s on {threads} thread(s); \
          wrote BENCH_lint.json",

@@ -32,7 +32,7 @@ use nanotarget::contention::{run_contention_sweep, ContentionLevel};
 use nanotarget::{run_experiment, ExperimentConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
+use uof_telemetry::json::Value;
 
 /// Distinct foreground campaigns timed against the market (each runs
 /// `auction_samples` sampled auctions).
@@ -46,66 +46,21 @@ const SWEEP_LEVELS: [usize; 4] = [0, 8, 32, 128];
 /// the bisection baseline is quadratic-ish in campaigns × opportunities).
 const OPTIMAL_CAMPAIGNS: usize = 24;
 
-#[derive(Serialize)]
-struct AuctionTiming {
-    queries: u64,
-    samples_per_query: usize,
-    background_campaigns: usize,
-    best_secs: f64,
-    auctions_per_sec: f64,
-}
-
-#[derive(Serialize)]
-struct PacingPoint {
-    campaigns: usize,
-    setup_secs: f64,
-    rounds: usize,
-    converged: bool,
-    max_rel_error: f64,
-    constrained: usize,
-    mean_clearing_price_eur: f64,
-    sell_through: f64,
-    snipe_share: f64,
-}
-
-#[derive(Serialize)]
-struct OptimalComparison {
-    campaigns: usize,
-    paced_rounds: usize,
-    optimal_sweeps: usize,
-    both_converged: bool,
-    /// Worst relative daily-spend gap between the paced profile and the
-    /// optimal-bidding baseline, over campaigns both runs constrain.
-    max_spend_gap: f64,
-    jointly_constrained: usize,
-}
-
-#[derive(Serialize)]
-struct Report {
-    bench: &'static str,
-    scale: String,
-    seed: u64,
-    threads: usize,
-    available_parallelism: usize,
-    bit_identical_zero_competition: bool,
-    auctions: AuctionTiming,
-    pacing: Vec<PacingPoint>,
-    optimal: OptimalComparison,
-    contention_sweep: Vec<ContentionLevel>,
-}
-
-/// Times `f` with one warm-up and `reps` measured runs; returns the best
-/// wall-clock seconds and the (identical) checksum.
-fn time_best<F: Fn() -> u64>(reps: usize, f: F) -> (f64, u64) {
-    let checksum = f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let got = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        assert_eq!(got, checksum, "benchmark run was not deterministic");
-    }
-    (best, checksum)
+/// Every [`ContentionLevel`] field, keyed by its name.
+fn level_json(l: &ContentionLevel) -> Value {
+    Value::obj([
+        ("n_campaigns", l.n_campaigns.into()),
+        ("successes", l.successes.into()),
+        ("success_rate", l.success_rate.into()),
+        ("seen", l.seen.into()),
+        ("total_reached", l.total_reached.into()),
+        ("total_impressions", l.total_impressions.into()),
+        ("total_cost_eur", l.total_cost_eur.into()),
+        ("success_cost_eur", l.success_cost_eur.into()),
+        ("cost_per_impression_eur", l.cost_per_impression_eur.into()),
+        ("market_constrained", l.market_constrained.into()),
+        ("market_clearing_price_eur", l.market_clearing_price_eur.into()),
+    ])
 }
 
 /// One throughput pass: foreground campaigns at staggered house prices.
@@ -157,7 +112,6 @@ fn zero_competition_check(empty: &Marketplace) -> bool {
 fn main() {
     let (scale, world) = bench::build_world();
     let seed = bench::seed_from_env();
-    let threads = rayon::current_num_threads();
 
     // --- Auction throughput ---------------------------------------------
     eprintln!(
@@ -168,34 +122,37 @@ fn main() {
     let market = Marketplace::setup(&world, MarketplaceConfig::seeded(seed, THROUGHPUT_CAMPAIGNS))
         .expect("preset config is valid");
     let samples_per_query = market.config().auction_samples;
-    let (best_secs, _) = time_best(3, || auction_pass(&market));
-    let auctions = AuctionTiming {
-        queries: THROUGHPUT_QUERIES,
-        samples_per_query,
-        background_campaigns: THROUGHPUT_CAMPAIGNS,
-        best_secs,
-        auctions_per_sec: (THROUGHPUT_QUERIES * samples_per_query as u64) as f64 / best_secs,
-    };
+    let (best_secs, _) = bench::time_best(3, || auction_pass(&market));
+    let auctions_per_sec = (THROUGHPUT_QUERIES * samples_per_query as u64) as f64 / best_secs;
+    let auctions = Value::obj([
+        ("queries", THROUGHPUT_QUERIES.into()),
+        ("samples_per_query", samples_per_query.into()),
+        ("background_campaigns", THROUGHPUT_CAMPAIGNS.into()),
+        ("best_secs", best_secs.into()),
+        ("auctions_per_sec", auctions_per_sec.into()),
+    ]);
 
     // --- Pacing convergence per population size -------------------------
     let mut pacing = Vec::new();
+    let mut all_converged = true;
     for n in SWEEP_LEVELS.into_iter().filter(|&n| n > 0) {
         eprintln!("[run] pacing: converging {n} campaigns…");
         let start = Instant::now();
         let m = Marketplace::setup(&world, MarketplaceConfig::seeded(seed, n))
             .expect("preset config is valid");
         let p = m.pacing();
-        pacing.push(PacingPoint {
-            campaigns: n,
-            setup_secs: start.elapsed().as_secs_f64(),
-            rounds: p.rounds,
-            converged: p.converged,
-            max_rel_error: p.max_rel_error,
-            constrained: p.constrained,
-            mean_clearing_price_eur: p.mean_clearing_price_eur,
-            sell_through: p.sell_through,
-            snipe_share: p.snipe_share,
-        });
+        all_converged &= p.converged;
+        pacing.push(Value::obj([
+            ("campaigns", n.into()),
+            ("setup_secs", start.elapsed().as_secs_f64().into()),
+            ("rounds", p.rounds.into()),
+            ("converged", p.converged.into()),
+            ("max_rel_error", p.max_rel_error.into()),
+            ("constrained", p.constrained.into()),
+            ("mean_clearing_price_eur", p.mean_clearing_price_eur.into()),
+            ("sell_through", p.sell_through.into()),
+            ("snipe_share", p.snipe_share.into()),
+        ]));
     }
 
     // --- Paced vs optimal spend profile ---------------------------------
@@ -216,14 +173,16 @@ fn main() {
             max_spend_gap = max_spend_gap.max(gap);
         }
     }
-    let optimal_cmp = OptimalComparison {
-        campaigns: OPTIMAL_CAMPAIGNS,
-        paced_rounds: paced.rounds,
-        optimal_sweeps: optimal.rounds,
-        both_converged: paced.converged && optimal.converged,
-        max_spend_gap,
-        jointly_constrained,
-    };
+    let optimal_cmp = Value::obj([
+        ("campaigns", OPTIMAL_CAMPAIGNS.into()),
+        ("paced_rounds", paced.rounds.into()),
+        ("optimal_sweeps", optimal.rounds.into()),
+        ("both_converged", (paced.converged && optimal.converged).into()),
+        // Worst relative daily-spend gap between the paced profile and the
+        // optimal-bidding baseline, over campaigns both runs constrain.
+        ("max_spend_gap", max_spend_gap.into()),
+        ("jointly_constrained", jointly_constrained.into()),
+    ]);
 
     // --- Contention sweep: §5 under competing demand --------------------
     eprintln!("[run] contention sweep: 21 campaigns at levels {SWEEP_LEVELS:?}…");
@@ -251,25 +210,20 @@ fn main() {
             .all(|(a, b)| a.cost_eur.to_bits() == b.cost_eur.to_bits());
     assert!(bit_identical, "zero-competition equivalence violated at bench scale");
 
-    let report = Report {
-        bench: "marketplace",
-        scale: format!("{scale:?}").to_lowercase(),
-        seed,
-        threads,
-        available_parallelism: bench::available_parallelism(),
-        bit_identical_zero_competition: bit_identical,
-        auctions,
-        pacing,
-        optimal: optimal_cmp,
-        contention_sweep: sweep.levels,
-    };
-    let rendered = serde_json::to_string(&report).expect("report serialises");
-    std::fs::write("BENCH_marketplace.json", &rendered).expect("write BENCH_marketplace.json");
-    println!("{rendered}");
+    let report = bench::report(
+        "marketplace",
+        scale,
+        [
+            ("bit_identical_zero_competition", bit_identical.into()),
+            ("auctions", auctions),
+            ("pacing", Value::Arr(pacing)),
+            ("optimal", optimal_cmp),
+            ("contention_sweep", Value::Arr(sweep.levels.iter().map(level_json).collect())),
+        ],
+    );
+    bench::write_report("BENCH_marketplace.json", &report).expect("write BENCH_marketplace.json");
     eprintln!(
-        "[done] {:.0} auctions/s, pacing converged at every level: {}; wrote \
-         BENCH_marketplace.json",
-        report.auctions.auctions_per_sec,
-        report.pacing.iter().all(|p| p.converged),
+        "[done] {auctions_per_sec:.0} auctions/s, pacing converged at every level: \
+         {all_converged}; wrote BENCH_marketplace.json"
     );
 }

@@ -8,36 +8,6 @@
 
 use fbsim_population::reach::CountryFilter;
 use fbsim_population::{InterestId, ReachEngine};
-use serde::Serialize;
-use std::time::Instant;
-
-#[derive(Serialize)]
-struct Timing {
-    sequential_secs: f64,
-    parallel_secs: f64,
-    speedup: f64,
-}
-
-impl Timing {
-    fn new(sequential_secs: f64, parallel_secs: f64) -> Self {
-        Timing { sequential_secs, parallel_secs, speedup: sequential_secs / parallel_secs }
-    }
-}
-
-#[derive(Serialize)]
-struct Report {
-    bench: &'static str,
-    scale: String,
-    seed: u64,
-    threads: usize,
-    available_parallelism: usize,
-    bit_identical_across_thread_counts: bool,
-    reach_sequences: usize,
-    interests_per_sequence: usize,
-    bootstrap_replicates: usize,
-    reach_sweep: Timing,
-    bootstrap: Timing,
-}
 
 /// Interest sequences shaped like the paper's audiences: 25-interest walks
 /// spread across the catalog, one per cohort member sampled.
@@ -73,20 +43,6 @@ fn bootstrap_run(data: &[f64], replicates: usize, seed: u64) -> u64 {
     checksum
 }
 
-/// Times `f` with one warm-up and `reps` measured runs; returns the best
-/// wall-clock seconds and the (identical) checksum.
-fn time_best<F: Fn() -> u64>(reps: usize, f: F) -> (f64, u64) {
-    let checksum = f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let got = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        assert_eq!(got, checksum, "benchmark run was not deterministic");
-    }
-    (best, checksum)
-}
-
 fn main() {
     let (scale, world) = bench::build_world();
     let seed = bench::seed_from_env();
@@ -98,35 +54,33 @@ fn main() {
 
     eprintln!("[run] reach sweep: {} sequences × 25 interests…", seqs.len());
     let (reach_seq, reach_seq_sum) =
-        rayon::with_thread_count(1, || time_best(3, || reach_sweep(&engine, &seqs)));
+        rayon::with_thread_count(1, || bench::time_best(3, || reach_sweep(&engine, &seqs)));
     let (reach_par, reach_par_sum) =
-        rayon::with_thread_count(threads, || time_best(3, || reach_sweep(&engine, &seqs)));
+        rayon::with_thread_count(threads, || bench::time_best(3, || reach_sweep(&engine, &seqs)));
     assert_eq!(reach_seq_sum, reach_par_sum, "reach sweep must be thread-count invariant");
 
     eprintln!("[run] bootstrap: {replicates} replicates…");
-    let (boot_seq, boot_seq_sum) =
-        rayon::with_thread_count(1, || time_best(3, || bootstrap_run(&data, replicates, seed)));
+    let (boot_seq, boot_seq_sum) = rayon::with_thread_count(1, || {
+        bench::time_best(3, || bootstrap_run(&data, replicates, seed))
+    });
     let (boot_par, boot_par_sum) = rayon::with_thread_count(threads, || {
-        time_best(3, || bootstrap_run(&data, replicates, seed))
+        bench::time_best(3, || bootstrap_run(&data, replicates, seed))
     });
     assert_eq!(boot_seq_sum, boot_par_sum, "bootstrap must be thread-count invariant");
 
-    let report = Report {
-        bench: "reach",
-        scale: format!("{scale:?}").to_lowercase(),
-        seed,
-        threads,
-        available_parallelism: bench::available_parallelism(),
-        bit_identical_across_thread_counts: true,
-        reach_sequences: seqs.len(),
-        interests_per_sequence: 25,
-        bootstrap_replicates: replicates,
-        reach_sweep: Timing::new(reach_seq, reach_par),
-        bootstrap: Timing::new(boot_seq, boot_par),
-    };
-    let rendered = serde_json::to_string(&report).expect("report serialises");
-    std::fs::write("BENCH_reach.json", &rendered).expect("write BENCH_reach.json");
-    println!("{rendered}");
+    let report = bench::report(
+        "reach",
+        scale,
+        [
+            ("bit_identical_across_thread_counts", true.into()),
+            ("reach_sequences", seqs.len().into()),
+            ("interests_per_sequence", 25usize.into()),
+            ("bootstrap_replicates", replicates.into()),
+            ("reach_sweep", bench::thread_timing(reach_seq, reach_par)),
+            ("bootstrap", bench::thread_timing(boot_seq, boot_par)),
+        ],
+    );
+    bench::write_report("BENCH_reach.json", &report).expect("write BENCH_reach.json");
     eprintln!(
         "[done] reach {reach_seq:.3}s → {reach_par:.3}s, bootstrap {boot_seq:.3}s → {boot_par:.3}s \
          on {threads} thread(s); wrote BENCH_reach.json"

@@ -27,7 +27,7 @@ use reach_api::proto::encode;
 use reach_api::server::{RateLimitConfig, ServerConfig};
 use reach_api::{ReachClient, ReachRequest, ReachResponse, ReachServer};
 use reach_cache::CacheConfig;
-use serde::Serialize;
+use uof_telemetry::json::Value;
 use uof_telemetry::{FieldValue, Telemetry, TelemetryConfig, TraceContext};
 
 /// Iterations for the primitive micro-measurements.
@@ -44,100 +44,16 @@ const SERVER_REQUESTS: u32 = 8_000;
 /// socket buffer can fill while the other end is still writing.
 const PIPELINE_DEPTH: u32 = 64;
 
-#[derive(Serialize)]
-struct PrimitiveNanos {
-    counter_add_disabled: f64,
-    counter_add_enabled: f64,
-    gauge_incr_decr_enabled: f64,
-    span_disabled: f64,
-    span_enabled: f64,
-    span_tracing: f64,
-}
-
-#[derive(Serialize)]
-struct OverheadTiming {
-    disabled_secs: f64,
-    enabled_secs: f64,
-    tracing_secs: f64,
-    enabled_overhead_pct: f64,
-    tracing_overhead_pct: f64,
-}
-
-impl OverheadTiming {
-    fn new(disabled_secs: f64, enabled_secs: f64, tracing_secs: f64) -> Self {
-        let pct = |v: f64| (v / disabled_secs - 1.0) * 100.0;
-        OverheadTiming {
-            disabled_secs,
-            enabled_secs,
-            tracing_secs,
-            enabled_overhead_pct: pct(enabled_secs),
-            tracing_overhead_pct: pct(tracing_secs),
-        }
-    }
-}
-
-#[derive(Serialize)]
-struct ServerTiming {
-    requests: u32,
-    disabled_secs: f64,
-    enabled_secs: f64,
-    context_secs: f64,
-    disabled_rps: f64,
-    enabled_rps: f64,
-    context_rps: f64,
-    /// Per-request overhead of telemetry on the warm-cache scalar path;
-    /// target < 5%.
-    enabled_overhead_pct: f64,
-    /// Overhead of full context propagation — every request tagged with a
-    /// trace context, server parenting its frame span under it and echoing
-    /// server-timing on every response — against the telemetry-off
-    /// baseline; target < 5%. Measured on the raw-replay path (see
-    /// [`raw_pass`]), which is what "server overhead" means: the client's
-    /// own cost of building trace contexts and decoding echoes is an
-    /// opt-in client feature, reported under `full_client` instead.
-    context_overhead_pct: f64,
-    /// Absolute per-request cost of plain telemetry (`enabled - disabled`).
-    /// The percentage figures divide this by the warm-cache request's total
-    /// service time (~a few µs, dominated by frame decode), so on a
-    /// single-core host — where the benchmark driver also competes for the
-    /// core — the ratio overstates what the same nanoseconds cost a server
-    /// with its own core. The absolute figure is the portable one.
-    enabled_overhead_ns_per_request: f64,
-    /// Absolute per-request cost of full context propagation
-    /// (`context - disabled`): trace decode + parented frame span +
-    /// server-timing echo, on top of plain telemetry.
-    context_overhead_ns_per_request: f64,
-    /// The same three configurations driven through a full [`ReachClient`]
-    /// (request structs built, encoded, responses decoded and settled per
-    /// call). On a single-core host the client's per-request work
-    /// serialises with the server's, so these figures bound client+server
-    /// cost together rather than server overhead alone.
-    full_client: FullClientTiming,
-}
-
-#[derive(Serialize)]
-struct FullClientTiming {
-    disabled_secs: f64,
-    enabled_secs: f64,
-    context_secs: f64,
-    enabled_overhead_pct: f64,
-    context_overhead_pct: f64,
-}
-
-#[derive(Serialize)]
-struct Report {
-    bench: &'static str,
-    scale: String,
-    seed: u64,
-    threads: usize,
-    available_parallelism: usize,
-    audiences: usize,
-    bit_identical_off_on_tracing: bool,
-    primitives_ns_per_op: PrimitiveNanos,
-    engine: OverheadTiming,
-    server_warm_scalar: ServerTiming,
-    /// Spans recorded into the global registry during the enabled passes.
-    engine_spans_recorded: u64,
+/// Engine passes with telemetry off, on, and tracing to a sink.
+fn overhead_timing(disabled_secs: f64, enabled_secs: f64, tracing_secs: f64) -> Value {
+    let pct = |v: f64| (v / disabled_secs - 1.0) * 100.0;
+    Value::obj([
+        ("disabled_secs", disabled_secs.into()),
+        ("enabled_secs", enabled_secs.into()),
+        ("tracing_secs", tracing_secs.into()),
+        ("enabled_overhead_pct", pct(enabled_secs).into()),
+        ("tracing_overhead_pct", pct(tracing_secs).into()),
+    ])
 }
 
 /// Small conjunction audiences (3 interests each), mirroring bench_cache.
@@ -157,20 +73,6 @@ fn engine_pass(engine: &ReachEngine<'_>, audiences: &[Vec<InterestId>]) -> u64 {
     checksum
 }
 
-/// Times `f` with one warm-up and `reps` measured runs; returns the best
-/// wall-clock seconds and the (identical) checksum.
-fn time_best<F: Fn() -> u64>(reps: usize, f: F) -> (f64, u64) {
-    let checksum = f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let got = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        assert_eq!(got, checksum, "benchmark run was not deterministic");
-    }
-    (best, checksum)
-}
-
 /// ns/op of `op` over `ops` iterations.
 fn ns_per_op(ops: u64, op: impl Fn(u64)) -> f64 {
     let start = Instant::now();
@@ -180,30 +82,50 @@ fn ns_per_op(ops: u64, op: impl Fn(u64)) -> f64 {
     start.elapsed().as_nanos() as f64 / ops as f64
 }
 
-fn primitives() -> PrimitiveNanos {
+/// Nanoseconds per counter, gauge and span operation.
+fn primitives() -> Value {
     let off = Telemetry::new(&TelemetryConfig::disabled());
     let on = Telemetry::new(&TelemetryConfig::enabled());
     let counter = on.registry().counter("bench.counter");
     let gauge = on.registry().gauge("bench.gauge");
     let tracing = Telemetry::new(&TelemetryConfig::enabled());
     tracing.attach_trace_writer(Box::new(std::io::sink()));
-    PrimitiveNanos {
-        counter_add_disabled: ns_per_op(PRIMITIVE_OPS, |i| off.count("bench.counter", i & 1)),
-        counter_add_enabled: ns_per_op(PRIMITIVE_OPS, |i| counter.add(i & 1)),
-        gauge_incr_decr_enabled: ns_per_op(PRIMITIVE_OPS, |_| {
-            gauge.incr();
-            gauge.decr();
-        }),
-        span_disabled: ns_per_op(SPAN_OPS, |i| {
-            let _guard = off.span("bench.span").field("i", FieldValue::from(i)).start();
-        }),
-        span_enabled: ns_per_op(SPAN_OPS, |i| {
-            let _guard = on.span("bench.span").field("i", FieldValue::from(i)).start();
-        }),
-        span_tracing: ns_per_op(SPAN_OPS, |i| {
-            let _guard = tracing.span("bench.span").field("i", FieldValue::from(i)).start();
-        }),
-    }
+    Value::obj([
+        (
+            "counter_add_disabled",
+            ns_per_op(PRIMITIVE_OPS, |i| off.count("bench.counter", i & 1)).into(),
+        ),
+        ("counter_add_enabled", ns_per_op(PRIMITIVE_OPS, |i| counter.add(i & 1)).into()),
+        (
+            "gauge_incr_decr_enabled",
+            ns_per_op(PRIMITIVE_OPS, |_| {
+                gauge.incr();
+                gauge.decr();
+            })
+            .into(),
+        ),
+        (
+            "span_disabled",
+            ns_per_op(SPAN_OPS, |i| {
+                let _guard = off.span("bench.span").field("i", FieldValue::from(i)).start();
+            })
+            .into(),
+        ),
+        (
+            "span_enabled",
+            ns_per_op(SPAN_OPS, |i| {
+                let _guard = on.span("bench.span").field("i", FieldValue::from(i)).start();
+            })
+            .into(),
+        ),
+        (
+            "span_tracing",
+            ns_per_op(SPAN_OPS, |i| {
+                let _guard = tracing.span("bench.span").field("i", FieldValue::from(i)).start();
+            })
+            .into(),
+        ),
+    ])
 }
 
 /// One warm-cache scalar query (eight distinct audiences, cycled — every
@@ -312,7 +234,9 @@ fn timed_pass(
     secs
 }
 
-fn server_timing(world: &Arc<World>) -> ServerTiming {
+/// The warm-cache scalar path through a server with telemetry off, on, and
+/// on with every request carrying a trace context.
+fn server_timing(world: &Arc<World>) -> Value {
     let start_server = |telemetry: TelemetryConfig| {
         ReachServer::start(
             Arc::clone(world),
@@ -375,34 +299,62 @@ fn server_timing(world: &Arc<World>) -> ServerTiming {
         ctx_full = ctx_full.min(timed_pass(&mut ctx_client, server_pass_traced, expect));
     }
 
-    ServerTiming {
-        requests: SERVER_REQUESTS,
-        disabled_secs: off_secs,
-        enabled_secs: on_secs,
-        context_secs: ctx_secs,
-        disabled_rps: SERVER_REQUESTS as f64 / off_secs,
-        enabled_rps: SERVER_REQUESTS as f64 / on_secs,
-        context_rps: SERVER_REQUESTS as f64 / ctx_secs,
-        enabled_overhead_pct: (on_secs / off_secs - 1.0) * 100.0,
-        context_overhead_pct: (ctx_secs / off_secs - 1.0) * 100.0,
-        enabled_overhead_ns_per_request: (on_secs - off_secs) * 1e9 / f64::from(SERVER_REQUESTS),
-        context_overhead_ns_per_request: (ctx_secs - off_secs) * 1e9 / f64::from(SERVER_REQUESTS),
-        full_client: FullClientTiming {
-            disabled_secs: off_full,
-            enabled_secs: on_full,
-            context_secs: ctx_full,
-            enabled_overhead_pct: (on_full / off_full - 1.0) * 100.0,
-            context_overhead_pct: (ctx_full / off_full - 1.0) * 100.0,
-        },
-    }
+    let requests = f64::from(SERVER_REQUESTS);
+    Value::obj([
+        ("requests", u64::from(SERVER_REQUESTS).into()),
+        ("disabled_secs", off_secs.into()),
+        ("enabled_secs", on_secs.into()),
+        ("context_secs", ctx_secs.into()),
+        ("disabled_rps", (requests / off_secs).into()),
+        ("enabled_rps", (requests / on_secs).into()),
+        ("context_rps", (requests / ctx_secs).into()),
+        // Per-request overhead of telemetry on the warm-cache scalar path;
+        // target < 5%.
+        ("enabled_overhead_pct", ((on_secs / off_secs - 1.0) * 100.0).into()),
+        // Overhead of full context propagation — every request tagged with
+        // a trace context, server parenting its frame span under it and
+        // echoing server-timing on every response — against the
+        // telemetry-off baseline; target < 5%. Measured on the raw-replay
+        // path (see [`raw_pass`]), which is what "server overhead" means:
+        // the client's own cost of building trace contexts and decoding
+        // echoes is an opt-in client feature, reported under `full_client`
+        // instead.
+        ("context_overhead_pct", ((ctx_secs / off_secs - 1.0) * 100.0).into()),
+        // Absolute per-request cost of plain telemetry (`enabled -
+        // disabled`). The percentage figures divide this by the warm-cache
+        // request's total service time (~a few µs, dominated by frame
+        // decode), so on a single-core host — where the benchmark driver
+        // also competes for the core — the ratio overstates what the same
+        // nanoseconds cost a server with its own core. The absolute figure
+        // is the portable one.
+        ("enabled_overhead_ns_per_request", ((on_secs - off_secs) * 1e9 / requests).into()),
+        // Absolute per-request cost of full context propagation (`context -
+        // disabled`): trace decode + parented frame span + server-timing
+        // echo, on top of plain telemetry.
+        ("context_overhead_ns_per_request", ((ctx_secs - off_secs) * 1e9 / requests).into()),
+        // The same three configurations driven through a full
+        // [`ReachClient`] (request structs built, encoded, responses decoded
+        // and settled per call). On a single-core host the client's
+        // per-request work serialises with the server's, so these figures
+        // bound client+server cost together rather than server overhead
+        // alone.
+        (
+            "full_client",
+            Value::obj([
+                ("disabled_secs", off_full.into()),
+                ("enabled_secs", on_full.into()),
+                ("context_secs", ctx_full.into()),
+                ("enabled_overhead_pct", ((on_full / off_full - 1.0) * 100.0).into()),
+                ("context_overhead_pct", ((ctx_full / off_full - 1.0) * 100.0).into()),
+            ]),
+        ),
+    ])
 }
 
 use fbsim_population::World;
 
 fn main() {
     let (scale, world) = bench::build_world();
-    let seed = bench::seed_from_env();
-    let threads = rayon::current_num_threads();
     let world = Arc::new(world);
     let engine = world.reach_engine();
     let catalog_len = world.catalog().len() as u32;
@@ -416,13 +368,13 @@ fn main() {
     let was_enabled = telemetry.is_enabled();
     eprintln!("[run] engine: {} audiences, telemetry off/on/tracing…", auds.len());
     telemetry.set_enabled(false);
-    let (engine_off, off_sum) = time_best(3, || engine_pass(&engine, &auds));
+    let (engine_off, off_sum) = bench::time_best(3, || engine_pass(&engine, &auds));
     telemetry.set_enabled(true);
     let spans_before =
         telemetry.snapshot().histogram("engine.conjunction_reach").map(|h| h.count).unwrap_or(0);
-    let (engine_on, on_sum) = time_best(3, || engine_pass(&engine, &auds));
+    let (engine_on, on_sum) = bench::time_best(3, || engine_pass(&engine, &auds));
     telemetry.attach_trace_writer(Box::new(std::io::sink()));
-    let (engine_trace, trace_sum) = time_best(3, || engine_pass(&engine, &auds));
+    let (engine_trace, trace_sum) = bench::time_best(3, || engine_pass(&engine, &auds));
     telemetry.detach_trace_writer();
     let spans_recorded =
         telemetry.snapshot().histogram("engine.conjunction_reach").map(|h| h.count).unwrap_or(0)
@@ -436,22 +388,20 @@ fn main() {
     eprintln!("[run] server: {SERVER_REQUESTS} warm-cache scalar requests, telemetry off/on…");
     let server = server_timing(&world);
 
-    let report = Report {
-        bench: "telemetry",
-        scale: format!("{scale:?}").to_lowercase(),
-        seed,
-        threads,
-        available_parallelism: bench::available_parallelism(),
-        audiences: auds.len(),
-        bit_identical_off_on_tracing: true,
-        primitives_ns_per_op: primitives,
-        engine: OverheadTiming::new(engine_off, engine_on, engine_trace),
-        server_warm_scalar: server,
-        engine_spans_recorded: spans_recorded,
-    };
-    let rendered = serde_json::to_string(&report).expect("report serialises");
-    std::fs::write("BENCH_telemetry.json", &rendered).expect("write BENCH_telemetry.json");
-    println!("{rendered}");
+    let report = bench::report(
+        "telemetry",
+        scale,
+        [
+            ("audiences", auds.len().into()),
+            ("bit_identical_off_on_tracing", true.into()),
+            ("primitives_ns_per_op", primitives),
+            ("engine", overhead_timing(engine_off, engine_on, engine_trace)),
+            ("server_warm_scalar", server),
+            // Spans recorded into the global registry during the enabled passes.
+            ("engine_spans_recorded", spans_recorded.into()),
+        ],
+    );
+    bench::write_report("BENCH_telemetry.json", &report).expect("write BENCH_telemetry.json");
     eprintln!(
         "[done] engine off {engine_off:.4}s → on {engine_on:.4}s; wrote BENCH_telemetry.json"
     );

@@ -44,7 +44,7 @@ use rand::{Rng, SeedableRng};
 use reach_api::proto::ReachRequest;
 use reach_api::server::{RateLimitConfig, ServerConfig};
 use reach_api::{ReachClient, ReachResponse, ReachRouter, ReachServer, RouterConfig};
-use serde::Serialize;
+use uof_telemetry::json::Value;
 use uof_telemetry::{Histogram, HistogramSnapshot, Telemetry, TelemetryConfig};
 
 /// Requests in the replayed workload.
@@ -305,7 +305,6 @@ fn percentile_ns(histogram: &HistogramSnapshot, q: f64) -> u64 {
     u64::MAX
 }
 
-#[derive(Serialize)]
 struct LatencyStats {
     count: u64,
     mean_ns: f64,
@@ -326,10 +325,20 @@ impl LatencyStats {
             p99_ns: percentile_ns(histogram, 0.99),
         }
     }
+
+    fn json(&self) -> Value {
+        Value::obj([
+            ("count", self.count.into()),
+            ("mean_ns", self.mean_ns.into()),
+            ("p50_ns", self.p50_ns.into()),
+            ("p90_ns", self.p90_ns.into()),
+            ("p95_ns", self.p95_ns.into()),
+            ("p99_ns", self.p99_ns.into()),
+        ])
+    }
 }
 
 /// Per-request-class wall-latency stats for one transport configuration.
-#[derive(Serialize)]
 struct ClassLatency {
     scalar: LatencyStats,
     nested: LatencyStats,
@@ -353,6 +362,14 @@ impl ClassLatency {
                 sampled: get("loadgen.emulated.sampled"),
             },
         }
+    }
+
+    fn json(&self) -> Value {
+        Value::obj([
+            ("scalar", self.scalar.json()),
+            ("nested", self.nested.json()),
+            ("sampled", self.sampled.json()),
+        ])
     }
 
     /// Shape assertions for the emulated-RTT pass: every class saw its
@@ -382,72 +399,9 @@ impl ClassLatency {
     }
 }
 
-#[derive(Serialize)]
-struct WorkloadMix {
-    total: usize,
-    scalar: usize,
-    nested: usize,
-    sampled: usize,
-}
-
-#[derive(Serialize)]
-struct LoopbackPass {
-    sequential_secs: f64,
-    pipelined_secs: f64,
-    /// Unasserted: a bare loopback round trip is microseconds, so compute
-    /// dominates and batching buys little here by construction.
-    speedup: f64,
-}
-
-#[derive(Serialize)]
-struct RoutedPass {
-    shards: u32,
-    requests: usize,
-    secs: f64,
-    rps: f64,
-    /// The same slice replayed in id-tagged pipeline batches through the
-    /// router.
-    pipelined_secs: f64,
-    pipelined_rps: f64,
-    answers_equal_to_single_node: bool,
-    latency: LatencyStats,
-}
-
-#[derive(Serialize)]
-struct Report {
-    bench: &'static str,
-    scale: String,
-    seed: u64,
-    threads: usize,
-    available_parallelism: usize,
-    workload: WorkloadMix,
-    batch_size: usize,
-    /// Round trip injected by the WAN emulator for the asserted numbers.
-    emulated_rtt_ms: u64,
-    sequential_secs: f64,
-    sequential_rps: f64,
-    pipelined_secs: f64,
-    pipelined_rps: f64,
-    /// Pipelined throughput over the one-request-per-round-trip baseline,
-    /// both through the emulated RTT; the PR's acceptance floor is 3×.
-    pipelined_speedup: f64,
-    sequential_latency: LatencyStats,
-    pipelined_batch_latency: LatencyStats,
-    /// Per-request wall latency by request class, bare loopback
-    /// (unasserted: compute-dominated by construction).
-    loopback_class_latency: ClassLatency,
-    /// Per-request wall latency by request class through the emulated RTT
-    /// (shape-asserted: counts match the mix, p50 ≥ RTT, quantiles
-    /// monotone).
-    emulated_class_latency: ClassLatency,
-    loopback: LoopbackPass,
-    routed: RoutedPass,
-}
-
 fn main() {
     let (scale, world) = bench::build_world();
     let seed = bench::seed_from_env();
-    let threads = rayon::current_num_threads();
     let world = Arc::new(world);
     let cohort = bench::build_cohort(&world, scale);
     let workload = build_workload(&world, &cohort, seed);
@@ -565,52 +519,74 @@ fn main() {
 
     let snapshot = telemetry.snapshot();
     let histogram =
-        |name: &str| LatencyStats::of(snapshot.histogram(name).expect("histogram recorded"));
+        |name: &str| LatencyStats::of(snapshot.histogram(name).expect("histogram recorded")).json();
     let loopback_class_latency = ClassLatency::collect(&snapshot, "loopback");
     let emulated_class_latency = ClassLatency::collect(&snapshot, "emulated");
     emulated_class_latency.assert_rtt_shape((workload.scalar, workload.nested, workload.sampled));
-    let report = Report {
-        bench: "service",
-        scale: format!("{scale:?}").to_lowercase(),
-        seed,
-        threads,
-        available_parallelism: bench::available_parallelism(),
-        workload: WorkloadMix {
-            total: workload.requests.len(),
-            scalar: workload.scalar,
-            nested: workload.nested,
-            sampled: workload.sampled,
-        },
-        batch_size: BATCH,
-        emulated_rtt_ms: EMULATED_RTT_MS,
-        sequential_secs,
-        sequential_rps: workload.requests.len() as f64 / sequential_secs,
-        pipelined_secs,
-        pipelined_rps: workload.requests.len() as f64 / pipelined_secs,
-        pipelined_speedup: speedup,
-        sequential_latency: histogram("loadgen.request.sequential"),
-        pipelined_batch_latency: histogram("loadgen.batch.pipelined"),
-        loopback_class_latency,
-        emulated_class_latency,
-        loopback: LoopbackPass {
-            sequential_secs: loop_seq_secs,
-            pipelined_secs: loop_pipe_secs,
-            speedup: loop_seq_secs / loop_pipe_secs,
-        },
-        routed: RoutedPass {
-            shards,
-            requests: routed_slice.len(),
-            secs: routed_secs,
-            rps: routed_slice.len() as f64 / routed_secs,
-            pipelined_secs: routed_pipe_secs,
-            pipelined_rps: routed_slice.len() as f64 / routed_pipe_secs,
-            answers_equal_to_single_node: true,
-            latency: histogram("loadgen.request.routed"),
-        },
-    };
-    let rendered = serde_json::to_string(&report).expect("report serialises");
-    std::fs::write("BENCH_service.json", &rendered).expect("write BENCH_service.json");
-    println!("{rendered}");
+    let requests = workload.requests.len() as f64;
+    let routed_requests = routed_slice.len() as f64;
+    let report = bench::report(
+        "service",
+        scale,
+        [
+            (
+                "workload",
+                Value::obj([
+                    ("total", workload.requests.len().into()),
+                    ("scalar", workload.scalar.into()),
+                    ("nested", workload.nested.into()),
+                    ("sampled", workload.sampled.into()),
+                ]),
+            ),
+            ("batch_size", BATCH.into()),
+            // Round trip injected by the WAN emulator for the asserted numbers.
+            ("emulated_rtt_ms", EMULATED_RTT_MS.into()),
+            ("sequential_secs", sequential_secs.into()),
+            ("sequential_rps", (requests / sequential_secs).into()),
+            ("pipelined_secs", pipelined_secs.into()),
+            ("pipelined_rps", (requests / pipelined_secs).into()),
+            // Pipelined throughput over the one-request-per-round-trip
+            // baseline, both through the emulated RTT; the acceptance floor is
+            // 3×.
+            ("pipelined_speedup", speedup.into()),
+            ("sequential_latency", histogram("loadgen.request.sequential")),
+            ("pipelined_batch_latency", histogram("loadgen.batch.pipelined")),
+            // Per-request wall latency by request class, bare loopback
+            // (unasserted: compute-dominated by construction).
+            ("loopback_class_latency", loopback_class_latency.json()),
+            // Per-request wall latency by request class through the emulated
+            // RTT (shape-asserted: counts match the mix, p50 ≥ RTT, quantiles
+            // monotone).
+            ("emulated_class_latency", emulated_class_latency.json()),
+            (
+                "loopback",
+                Value::obj([
+                    ("sequential_secs", loop_seq_secs.into()),
+                    ("pipelined_secs", loop_pipe_secs.into()),
+                    // Unasserted: a bare loopback round trip is microseconds,
+                    // so compute dominates and batching buys little here by
+                    // construction.
+                    ("speedup", (loop_seq_secs / loop_pipe_secs).into()),
+                ]),
+            ),
+            (
+                "routed",
+                Value::obj([
+                    ("shards", u64::from(shards).into()),
+                    ("requests", routed_slice.len().into()),
+                    ("secs", routed_secs.into()),
+                    ("rps", (routed_requests / routed_secs).into()),
+                    // The same slice replayed in id-tagged pipeline batches
+                    // through the router.
+                    ("pipelined_secs", routed_pipe_secs.into()),
+                    ("pipelined_rps", (routed_requests / routed_pipe_secs).into()),
+                    ("answers_equal_to_single_node", true.into()),
+                    ("latency", histogram("loadgen.request.routed")),
+                ]),
+            ),
+        ],
+    );
+    bench::write_report("BENCH_service.json", &report).expect("write BENCH_service.json");
     eprintln!(
         "[done] emulated-RTT sequential {sequential_secs:.3}s → pipelined {pipelined_secs:.3}s \
          ({speedup:.1}x); wrote BENCH_service.json"

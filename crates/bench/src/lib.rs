@@ -1,5 +1,5 @@
 //! Shared scaffolding for the table/figure regeneration binaries and the
-//! Criterion benches.
+//! `bench_*`/`loadgen` benchmarks.
 //!
 //! Every binary honours the `UOF_SCALE` environment variable:
 //!
@@ -18,6 +18,7 @@
 use fbsim_fdvt::dataset::CohortConfig;
 use fbsim_fdvt::FdvtDataset;
 use fbsim_population::{World, WorldConfig};
+use uof_telemetry::json::Value;
 
 /// Scale preset for a regeneration run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,6 +121,61 @@ pub fn build_cohort(world: &World, scale: Scale) -> FdvtDataset {
 /// Prints a two-column paper-vs-measured comparison line.
 pub fn compare(label: &str, paper: f64, measured: f64) {
     println!("{label:<18} paper {paper:>10.2}   measured {measured:>10.2}");
+}
+
+/// Times `f` with one warm-up and `reps` measured runs; returns the best
+/// wall-clock seconds and the (identical) checksum.
+///
+/// # Panics
+///
+/// If a measured run's checksum differs from the warm-up's.
+pub fn time_best<F: Fn() -> u64>(reps: usize, f: F) -> (f64, u64) {
+    let checksum = f();
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let start = std::time::Instant::now();
+        let got = f();
+        best = best.min(start.elapsed().as_secs_f64());
+        assert_eq!(got, checksum, "benchmark run was not deterministic");
+    }
+    (best, checksum)
+}
+
+/// A `BENCH_*.json` report for a run at `scale`: `bench`, `scale`, `seed`,
+/// `threads` and `available_parallelism`, then `members`.
+pub fn report<const N: usize>(bench: &str, scale: Scale, members: [(&str, Value); N]) -> Value {
+    let header = [
+        ("bench", bench.into()),
+        ("scale", format!("{scale:?}").to_lowercase().into()),
+        ("seed", seed_from_env().into()),
+        ("threads", rayon::current_num_threads().into()),
+        ("available_parallelism", available_parallelism().into()),
+    ];
+    let members = header.into_iter().chain(members);
+    Value::Obj(members.map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// Writes a `BENCH_*.json` report to `path` in the working directory and
+/// prints it on stdout.
+///
+/// # Errors
+///
+/// The write's I/O error.
+pub fn write_report(path: &str, report: &Value) -> std::io::Result<()> {
+    let rendered = report.to_json_string();
+    std::fs::write(path, &rendered)?;
+    println!("{rendered}");
+    Ok(())
+}
+
+/// One workload timed on one thread and on the whole pool:
+/// `{"sequential_secs","parallel_secs","speedup"}`.
+pub fn thread_timing(sequential_secs: f64, parallel_secs: f64) -> Value {
+    Value::obj([
+        ("sequential_secs", sequential_secs.into()),
+        ("parallel_secs", parallel_secs.into()),
+        ("speedup", (sequential_secs / parallel_secs).into()),
+    ])
 }
 
 #[cfg(test)]

@@ -34,7 +34,6 @@ use crate::CampaignSpec;
 use fbsim_population::countries::{country_index, CountryCode, TARGETING_UNIVERSE};
 use fbsim_population::reach::{CountryFilter, ReachEngine};
 use fbsim_population::{InterestCatalog, InterestId, MaterializedUser};
-use serde::{Deserialize, Serialize};
 
 /// Platform-wide minimum targetable age.
 pub const MIN_AGE: u8 = 13;
@@ -50,7 +49,7 @@ pub const MAX_AGE: u8 = 65;
 /// `N_P` is the number of interests after which a fraction `P` of users is
 /// unique: with the *least-popular* selection strategy ~4.2 interests
 /// isolate 90 % of users, with *random* selection ~22.2 do.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NpThresholds {
     /// `N(LP)₀.₉` — interests needed to isolate 90 % of users when the
     /// attacker picks the user's least-popular interests (Table 1).
@@ -80,7 +79,7 @@ impl Default for NpThresholds {
 /// Structured nanotargeting-risk verdict for a spec, ordered from benign to
 /// critical.  Consumed by [`PlatformPolicy`](crate::PlatformPolicy)
 /// pre-flight checks and the FDVT risk UI.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub enum NanotargetingRisk {
     /// Interest depth below every Table-1 threshold.
     Low {
@@ -161,7 +160,7 @@ impl NanotargetingRisk {
 // ---------------------------------------------------------------------------
 
 /// Severity of a [`SpecFinding`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// A clause that cannot restrict the audience (dead weight, not a bug).
     Redundancy,
@@ -172,7 +171,7 @@ pub enum Severity {
 }
 
 /// One structural defect found in a spec.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SpecFinding {
     /// No usable location and the spec is not worldwide — location is
     /// compulsory, so the audience is empty.
@@ -286,7 +285,7 @@ impl std::fmt::Display for SpecFinding {
 // ---------------------------------------------------------------------------
 
 /// A sound `[lower, upper]` bracket on a spec's true active audience.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AudienceInterval {
     /// Proven lower bound (Fréchet inclusion–exclusion).
     pub lower: f64,
@@ -403,7 +402,7 @@ impl InterestMarginals {
 // ---------------------------------------------------------------------------
 
 /// The analyzer's verdict on one spec.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecAnalysis {
     /// Structural findings, worst first.
     pub findings: Vec<SpecFinding>,

@@ -7,7 +7,6 @@
 //! impressions, unique users reached, clicks and spend.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::analyze::SpecAnalyzer;
 use crate::delivery::{
@@ -18,11 +17,11 @@ use crate::reach::AdsManagerApi;
 use crate::targeting::TargetingSpec;
 
 /// Identifier of a launched campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CampaignId(pub u64);
 
 /// An ad creativity: what the targeted user sees, and where a click lands.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Creativity {
     /// Headline / identifying text. The paper's creativities identified the
     /// targeted user and interest count (e.g. "User 3 — 12 interests").
@@ -32,7 +31,7 @@ pub struct Creativity {
 }
 
 /// A schedule of active windows, in hours relative to campaign launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// `(start_hour, end_hour)` pairs, strictly increasing and
     /// non-overlapping.
@@ -126,7 +125,7 @@ impl Schedule {
 }
 
 /// A campaign specification, ready to launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Display name.
     pub name: String,
@@ -141,7 +140,7 @@ pub struct CampaignSpec {
 }
 
 /// Campaign lifecycle state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CampaignState {
     /// Launched and delivering (or scheduled to deliver).
     Active,

@@ -9,14 +9,12 @@
 //! models the mechanism so the §8.3 *active-audience* countermeasure can be
 //! evaluated against it.
 
-use serde::{Deserialize, Serialize};
-
 /// Minimum records in a custom-audience list (FB's current rule).
 pub const MIN_LIST_SIZE: usize = 100;
 
 /// One PII record in an upload list. The simulator stores only a keyed hash
 /// of the PII item (as FB's upload flow does) plus ground-truth match state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiiRecord {
     /// Hash of the uploaded PII item (email / phone).
     pub pii_hash: u64,
@@ -69,7 +67,7 @@ impl std::fmt::Display for CustomAudienceError {
 impl std::error::Error for CustomAudienceError {}
 
 /// A created custom audience.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CustomAudience {
     records: Vec<PiiRecord>,
 }

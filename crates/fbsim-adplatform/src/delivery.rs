@@ -34,13 +34,12 @@
 use fbsim_stats::dist::poisson;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::campaign::Schedule;
 
 /// Tunable constants of the delivery process. Defaults are fitted to the
 /// paper's Table 2 as described in the module docs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeliveryModel {
     /// Sessions per active hour per user.
     pub session_rate_per_hour: f64,
@@ -96,7 +95,7 @@ impl Default for DeliveryModel {
 }
 
 /// The matched audience a campaign delivers into.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchedAudience {
     /// Whether the pinned target user matches the targeting spec.
     pub target_matches: bool,
@@ -128,7 +127,7 @@ impl MatchedAudience {
 }
 
 /// Per-campaign delivery outcome — one row of Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeliveryReport {
     /// Whether the pinned target received the ad at least once ("Seen").
     pub target_seen: bool,
@@ -168,7 +167,7 @@ impl DeliveryReport {
 /// downstream f64 bit-identical (`x * 1.0 == x` in IEEE-754) and the
 /// delivery RNG stream untouched. That is the zero-competition
 /// equivalence contract pinned by `tests/marketplace_equivalence.rs`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Contention {
     /// Fraction of otherwise-won impression opportunities the campaign
     /// still wins under competition (in `[0, 1]`).

@@ -15,13 +15,11 @@
 //! The policy trait receives the *true* audience size, which the platform
 //! (unlike the advertiser) can compute internally.
 
-use serde::{Deserialize, Serialize};
-
 use crate::analyze::SpecAnalysis;
 use crate::campaign::CampaignSpec;
 
 /// A policy violation that blocks a campaign at launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PolicyViolation {
     /// The audience definition uses more interests than the policy allows.
     TooManyInterests {
@@ -58,7 +56,7 @@ impl std::error::Error for PolicyViolation {}
 /// Outcome of a policy's *static* pre-flight evaluation, computed from a
 /// [`SpecAnalysis`] alone — before the platform spends a reach-engine sweep
 /// on the campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StaticDecision {
     /// The analysis proves the campaign complies; the dynamic check can be
     /// skipped.

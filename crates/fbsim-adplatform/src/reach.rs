@@ -9,12 +9,11 @@
 
 use fbsim_population::reach::CountryFilter;
 use fbsim_population::World;
-use serde::{Deserialize, Serialize};
 
 use crate::targeting::{Gender, TargetingSpec};
 
 /// Which reporting regime the endpoint emulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReportingEra {
     /// January 2017 (the paper's dataset): floor of 20 users.
     Early2017,
@@ -37,7 +36,7 @@ impl ReportingEra {
 }
 
 /// A reported potential reach.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PotentialReach {
     /// The reported number of matching monthly active users (never below
     /// the era's floor).

@@ -7,7 +7,6 @@
 
 use fbsim_population::countries::{country_index, CountryCode};
 use fbsim_population::InterestId;
-use serde::{Deserialize, Serialize};
 
 /// Maximum locations per audience (FB Ads Manager, January 2017).
 pub const MAX_LOCATIONS: usize = 50;
@@ -15,7 +14,7 @@ pub const MAX_LOCATIONS: usize = 50;
 pub const MAX_INTERESTS: usize = 25;
 
 /// Gender refinement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gender {
     /// Target men only.
     Male,
@@ -89,7 +88,7 @@ impl std::error::Error for TargetingError {}
 ///
 /// Build with [`TargetingSpec::builder`]; a constructed spec is guaranteed
 /// to satisfy every FB Ads Manager rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetingSpec {
     locations: Vec<CountryCode>,
     interests: Vec<InterestId>,
@@ -431,19 +430,5 @@ mod tests {
     fn gender_refinement_carried() {
         let spec = TargetingSpec::builder().location(es()).gender(Gender::Female).build().unwrap();
         assert_eq!(spec.gender(), Some(Gender::Female));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let spec = TargetingSpec::builder()
-            .worldwide()
-            .interests((0..5).map(InterestId))
-            .gender(Gender::Male)
-            .age_range(20, 39)
-            .build()
-            .unwrap();
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: TargetingSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(spec, back);
     }
 }

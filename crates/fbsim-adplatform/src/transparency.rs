@@ -7,12 +7,11 @@
 //! and the experiment harness performs the same exact-match check.
 
 use fbsim_population::InterestCatalog;
-use serde::{Deserialize, Serialize};
 
 use crate::campaign::{CampaignId, CampaignSpec};
 
 /// The transparency record attached to one ad impression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WhyAmISeeingThis {
     /// Campaign that delivered the impression.
     pub campaign_id: CampaignId,

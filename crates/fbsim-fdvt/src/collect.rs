@@ -7,10 +7,9 @@
 //! extension exercises the full flow the paper describes.
 
 use fbsim_population::{InterestCatalog, InterestId, MaterializedUser};
-use serde::{Deserialize, Serialize};
 
 /// One collected ad-preference entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdPreference {
     /// The interest.
     pub interest: InterestId,
@@ -46,7 +45,7 @@ pub fn collect_ad_preferences(
 /// during a browsing session at market CPM/CPC rates. The simulator uses a
 /// single blended rate pair; the estimate's purpose here is flow
 /// completeness, not pricing research.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RevenueEstimate {
     /// Impressions priced.
     pub impressions: u64,

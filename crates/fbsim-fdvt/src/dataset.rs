@@ -23,10 +23,9 @@ use fbsim_population::{MaterializedUser, World};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Declared gender in the registration form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GenderDecl {
     /// Declared man (1,949 users in the paper's cohort).
     Man,
@@ -37,7 +36,7 @@ pub enum GenderDecl {
 }
 
 /// Erikson age bands used by the paper's Appendix C.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AgeBand {
     /// 13–19 (117 users).
     Adolescence,
@@ -65,7 +64,7 @@ impl AgeBand {
 
 /// One cohort user: declared demographics plus the materialised interest
 /// list the extension harvested.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FdvtUser {
     /// Stable index in the cohort.
     pub id: u32,
@@ -171,7 +170,7 @@ pub const GENDER_MARGINALS: (u32, u32, u32) = (1_949, 347, 94);
 pub const AGE_MARGINALS: (u32, u32, u32, u32, u32) = (117, 1_374, 578, 19, 302);
 
 /// Cohort-generation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CohortConfig {
     /// Number of users (the paper: 2,390).
     pub size: u32,
@@ -189,7 +188,7 @@ impl Default for CohortConfig {
 }
 
 /// The assembled research cohort.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FdvtDataset {
     /// Cohort users.
     pub users: Vec<FdvtUser>,

@@ -7,10 +7,9 @@
 //! privacy policy and the anonymous research use of their data (GDPR).
 
 use fbsim_population::countries::CountryCode;
-use serde::{Deserialize, Serialize};
 
 /// Relationship status options offered at registration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RelationshipStatus {
     /// Single.
     Single,
@@ -21,7 +20,7 @@ pub enum RelationshipStatus {
 }
 
 /// GDPR consent record captured at registration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConsentRecord {
     /// Opt-in to the terms of use and privacy policy.
     pub terms_accepted: bool,
@@ -70,7 +69,7 @@ impl std::fmt::Display for RegistrationError {
 impl std::error::Error for RegistrationError {}
 
 /// A completed FDVT registration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Registration {
     /// Country of residence (compulsory).
     pub country: CountryCode,

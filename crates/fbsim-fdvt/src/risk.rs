@@ -8,10 +8,9 @@
 
 use fbsim_adplatform::analyze::{NanotargetingRisk, NpThresholds};
 use fbsim_population::{InterestCatalog, InterestId, MaterializedUser};
-use serde::{Deserialize, Serialize};
 
 /// Risk bands of the §6 colour code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RiskLevel {
     /// Audience ≤ 10k (red).
     High,
@@ -55,7 +54,7 @@ impl RiskLevel {
 }
 
 /// Configurable band thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RiskThresholds {
     /// Upper bound of the High band.
     pub high_max: f64,
@@ -72,7 +71,7 @@ impl Default for RiskThresholds {
 }
 
 /// Status of an interest row in the interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InterestStatus {
     /// Currently in the user's ad-preference set.
     Active,
@@ -81,7 +80,7 @@ pub enum InterestStatus {
 }
 
 /// One row of the risk report (one interest).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RiskRow {
     /// The interest.
     pub interest: InterestId,
@@ -97,7 +96,7 @@ pub struct RiskRow {
 
 /// The "Identification of Risks from my Facebook Interests" report —
 /// the Fig.-7 interface state for one user.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RiskReport {
     rows: Vec<RiskRow>,
 }

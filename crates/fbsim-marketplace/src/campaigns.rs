@@ -13,12 +13,11 @@ use fbsim_population::InterestId;
 use fbsim_stats::dist::AliasTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::config::MarketplaceConfig;
 
 /// One competing background campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackgroundCampaign {
     /// Dense index within the marketplace (also its auction tie-break).
     pub id: usize,

@@ -1,8 +1,6 @@
 //! Marketplace configuration: pricing rule, background-population shape,
 //! and the pacing loop's knobs.
 
-use serde::{Deserialize, Serialize};
-
 /// How a won background auction is priced.
 ///
 /// The pricing rule shapes the background campaigns' *spend accounting* —
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// landscape the foreground campaign faces. The foreground campaign itself
 /// always pays second-price-versus-the-field semantics (see
 /// [`crate::Marketplace::contention_for`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pricing {
     /// Winner pays its own standing bid.
     FirstPrice,
@@ -20,7 +18,7 @@ pub enum Pricing {
 }
 
 /// Knobs of the multiplicative budget-pacing loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacingConfig {
     /// Maximum relative multiplier change per round: a multiplier moves by
     /// at most `×(1 + step)` / `÷(1 + step)` between rounds.
@@ -51,7 +49,7 @@ impl Default for PacingConfig {
 /// configs that differ only in `n_campaigns ≥ k` — contention levels share
 /// their common prefix of competitors (common random numbers across a
 /// sweep).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarketplaceConfig {
     /// Master seed for the background population, pacing, and contention
     /// Monte-Carlo.
@@ -211,13 +209,5 @@ mod tests {
             let err = cfg.validate().unwrap_err();
             assert!(err.contains(needle), "expected '{needle}' in '{err}'");
         }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = MarketplaceConfig::seeded(77, 32);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: MarketplaceConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 }

@@ -21,7 +21,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::auction::{resolve, Bid};
 use crate::campaigns::{mix64, BackgroundCampaign};
@@ -185,7 +184,7 @@ pub(crate) fn simulate_round(
 }
 
 /// Result of a pacing run (multiplicative loop or optimal baseline).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PacingOutcome {
     /// Final pacing multiplier per campaign, in `[MIN_MULTIPLIER, 1]` — a
     /// participation throttle for the multiplicative loop, a bid-shading

@@ -25,13 +25,12 @@
 //! term subtracted so nobody is double-counted.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::catalog::{InterestCatalog, TopicId};
 use crate::panel::Panel;
 
 /// Outcome of a calibration run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CalibrationReport {
     /// IPF rounds performed.
     pub rounds: u32,

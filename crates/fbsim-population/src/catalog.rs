@@ -9,20 +9,19 @@
 use fbsim_stats::dist::{zipf_weights, AliasTable, Log10Normal};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::config::WorldConfig;
 
 /// Identifier of an interest in the catalog (dense, `0..n_interests`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InterestId(pub u32);
 
 /// Identifier of a latent topic (dense, `0..n_topics`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TopicId(pub u16);
 
 /// One interest in the simulated ecosystem.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Interest {
     /// Dense identifier.
     pub id: InterestId,
@@ -74,7 +73,7 @@ const TOPIC_NAMES: [&str; 30] = [
 ];
 
 /// The simulated interest ecosystem.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InterestCatalog {
     interests: Vec<Interest>,
     topic_names: Vec<String>,

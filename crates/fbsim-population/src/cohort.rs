@@ -16,7 +16,6 @@
 use fbsim_stats::dist::{AliasTable, Log10Normal};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::catalog::{InterestCatalog, InterestId, TopicId, TopicSampler};
 use crate::config::WorldConfig;
@@ -24,7 +23,7 @@ use crate::countries::CountryAssigner;
 use crate::taste::{Taste, TasteSampler};
 
 /// A user with a concrete, materialised interest list.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaterializedUser {
     /// The user's latent taste.
     pub taste: Taste,

@@ -9,14 +9,12 @@
 //! the paper's fitted `N_P` values (Table 1); see EXPERIMENTS.md for the
 //! measured-vs-paper comparison.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the synthetic world.
 ///
 /// Construct with [`WorldConfig::paper_scale`] (defaults matching the paper)
 /// or [`WorldConfig::test_scale`] (small and fast for unit tests), then
 /// override fields as needed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldConfig {
     /// Total simulated monthly-active-user population (the paper's
     /// uniqueness universe is 1.5B across the top-50 countries).
@@ -252,13 +250,5 @@ mod tests {
         // per world user, i.e. a median near 109 at σ=0.52.
         let m = WorldConfig::paper_scale(0).world_interests_median();
         assert!((90.0..130.0).contains(&m), "world median {m}");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = WorldConfig::paper_scale(42);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: WorldConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 }

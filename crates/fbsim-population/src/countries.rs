@@ -8,10 +8,9 @@
 
 use fbsim_stats::dist::AliasTable;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// ISO-3166-ish two-letter country code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CountryCode(pub [u8; 2]);
 
 impl CountryCode {
@@ -41,7 +40,7 @@ impl std::fmt::Display for CountryCode {
 }
 
 /// One row of the targeting universe (Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CountryEntry {
     /// Two-letter code.
     pub code: CountryCode,

@@ -20,7 +20,6 @@
 
 use fbsim_stats::dist::{zipf_weights, AliasTable};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::catalog::TopicId;
 use crate::config::WorldConfig;
@@ -29,7 +28,7 @@ use crate::config::WorldConfig;
 pub const MAX_TASTE_TOPICS: usize = 8;
 
 /// A user's sparse taste over topics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Taste {
     /// `(topic, weight)` pairs; weights sum to 1. At most
     /// [`MAX_TASTE_TOPICS`] entries, sorted by topic id.

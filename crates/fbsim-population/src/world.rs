@@ -1,7 +1,5 @@
 //! The assembled world: catalog + panel, calibrated and ready for queries.
 
-use serde::{Deserialize, Serialize};
-
 use crate::calibration::{calibrate_scores, CalibrationReport};
 use crate::catalog::InterestCatalog;
 use crate::cohort::{MaterializedUser, Materializer};
@@ -115,21 +113,6 @@ impl World {
     }
 }
 
-/// Serialisable summary of a world (for experiment artefacts).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WorldSummary {
-    /// Configuration used.
-    pub config: WorldConfig,
-    /// Calibration quality.
-    pub calibration: CalibrationReport,
-}
-
-impl From<&World> for WorldSummary {
-    fn from(world: &World) -> Self {
-        Self { config: world.config.clone(), calibration: world.calibration.clone() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,13 +168,5 @@ mod tests {
         let g = world.generation();
         let _ = world.reach_engine().conjunction_reach(&[crate::catalog::InterestId(1)]);
         assert_eq!(world.generation(), g, "queries must not advance the generation");
-    }
-
-    #[test]
-    fn summary_serialises() {
-        let world = World::generate(WorldConfig::test_scale(3)).unwrap();
-        let summary = WorldSummary::from(&world);
-        let json = serde_json::to_string(&summary).unwrap();
-        assert!(json.contains("median_rel_error"));
     }
 }

@@ -19,10 +19,9 @@ use crate::quantile::{QuantileError, SortedSample};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// A percentile-bootstrap confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BootstrapCi {
     /// Lower bound of the interval.
     pub lo: f64,

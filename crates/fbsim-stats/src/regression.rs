@@ -6,8 +6,6 @@
 //! OLS fit with R², residuals and prediction that the uniqueness crate builds
 //! on.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors from fitting a simple linear regression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OlsError {
@@ -35,7 +33,7 @@ impl std::fmt::Display for OlsError {
 impl std::error::Error for OlsError {}
 
 /// Result of a simple OLS fit `y ≈ slope·x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Fitted slope.
     pub slope: f64,

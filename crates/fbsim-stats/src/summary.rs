@@ -5,10 +5,9 @@
 //! EXPERIMENTS.md reporting.
 
 use crate::quantile::{QuantileError, SortedSample};
-use serde::{Deserialize, Serialize};
 
 /// A five-number-plus summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,
@@ -100,13 +99,5 @@ mod tests {
     #[test]
     fn nan_errors() {
         assert!(Summary::of(&[1.0, f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let s = Summary::of(&[1.0, 2.0, 3.0]).unwrap();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Summary = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

@@ -11,13 +11,12 @@
 
 use fbsim_marketplace::{Marketplace, MarketplaceConfig};
 use fbsim_population::{MaterializedUser, World};
-use serde::{Deserialize, Serialize};
 
 use crate::experiment::{run_experiment_in, ExperimentConfig, ExperimentResult};
 use crate::validate::NanotargetingVerdict;
 
 /// Aggregate outcome of the 21 campaigns at one competition intensity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContentionLevel {
     /// Background campaigns competing for impressions (0 = isolated).
     pub n_campaigns: usize,
@@ -76,7 +75,7 @@ impl ContentionLevel {
 /// The contention sweep: one [`ContentionLevel`] per competition intensity,
 /// plus the per-level experiment results for downstream analysis (e.g. the
 /// §8.3 countermeasure contrast).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ContentionSweep {
     /// Marketplace master seed shared by every non-zero level.
     pub market_seed: u64,

@@ -13,13 +13,12 @@ use fbsim_adplatform::policy::{
 };
 use fbsim_adplatform::reach::{AdsManagerApi, ReportingEra};
 use fbsim_population::World;
-use serde::{Deserialize, Serialize};
 
 use crate::experiment::ExperimentResult;
 use crate::validate::NanotargetingVerdict;
 
 /// Evaluation of one policy against the executed experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyEvaluation {
     /// Policy name.
     pub policy: String,
@@ -131,7 +130,7 @@ pub fn evaluate_all(world: &World, result: &ExperimentResult) -> Vec<PolicyEvalu
 /// robust to market conditions. What contention does change is which
 /// campaigns *succeed*, and hence how many of the blocked campaigns were
 /// live threats (`successes_blocked`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyContentionContrast {
     /// Policy name.
     pub policy: String,
@@ -201,7 +200,7 @@ pub fn evaluate_all_under_contention(
 /// The custom-audience bypass under the active-audience rule: a 100-record
 /// list padded with unreachable accounts reaches one person, which the
 /// active-minimum policy rejects.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BypassEvaluation {
     /// Records in the uploaded list.
     pub list_size: usize,

@@ -8,14 +8,13 @@ use fbsim_adplatform::transparency::WhyAmISeeingThis;
 use fbsim_population::{MaterializedUser, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::plan::{CampaignPlan, ExperimentPlan, PlanError};
 use crate::validate::{validate_campaign, NanotargetingVerdict, ValidationSignals};
 use crate::weblog::ClickLog;
 
 /// Experiment configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Master seed (plan randomisation, delivery, click IPs).
     pub seed: u64,
@@ -32,7 +31,7 @@ impl Default for ExperimentConfig {
 }
 
 /// One row of Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Target user (0-based).
     pub user_index: usize,
@@ -87,7 +86,7 @@ impl Table2Row {
 }
 
 /// The full experiment outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentResult {
     /// The plan that was executed.
     pub plan: ExperimentPlan,

@@ -14,10 +14,9 @@ use fbsim_adplatform::policy::PlatformPolicy;
 use fbsim_adplatform::targeting::TargetingSpec;
 use fbsim_population::{InterestId, MaterializedUser};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One probe campaign of the inference attack.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProbeOutcome {
     /// The candidate age range probed.
     pub age_range: (u8, u8),
@@ -28,7 +27,7 @@ pub struct ProbeOutcome {
 }
 
 /// Result of an age-inference attack.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InferenceResult {
     /// All probes, in candidate order.
     pub probes: Vec<ProbeOutcome>,

@@ -11,7 +11,6 @@ use fbsim_adplatform::campaign::{CampaignSpec, Creativity, Schedule};
 use fbsim_adplatform::targeting::TargetingSpec;
 use fbsim_population::{InterestId, MaterializedUser};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use uniqueness::selection::{experiment_nested_sets, EXPERIMENT_SIZES};
 
 /// The Success Group sizes (expected success probability 50–90%).
@@ -20,7 +19,7 @@ pub const SUCCESS_GROUP: [usize; 4] = [12, 18, 20, 22];
 pub const FAILURE_GROUP: [usize; 3] = [5, 7, 9];
 
 /// One planned campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignPlan {
     /// Target user index (0-based; the paper labels them User 1–3).
     pub user_index: usize,
@@ -40,7 +39,7 @@ impl CampaignPlan {
 }
 
 /// The full 21-campaign plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentPlan {
     /// All planned campaigns (3 users × 7 sizes).
     pub campaigns: Vec<CampaignPlan>,

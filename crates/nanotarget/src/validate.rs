@@ -17,12 +17,11 @@ use fbsim_adplatform::campaign::CampaignSpec;
 use fbsim_adplatform::delivery::DeliveryReport;
 use fbsim_adplatform::transparency::WhyAmISeeingThis;
 use fbsim_population::InterestCatalog;
-use serde::{Deserialize, Serialize};
 
 use crate::weblog::ClickLog;
 
 /// The three validation signals for one campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValidationSignals {
     /// Dashboard reports exactly one user reached.
     pub dashboard_reached_one: bool,
@@ -34,7 +33,7 @@ pub struct ValidationSignals {
 }
 
 /// Verdict for one campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NanotargetingVerdict {
     /// All three signals agree: the ad reached the target exclusively.
     Success,

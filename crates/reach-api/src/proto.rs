@@ -5,10 +5,12 @@
 //! buffered, oversized lines are rejected — the classic pitfalls the framing
 //! chapter of the Tokio guide warns about, handled explicitly.
 //!
-//! Every frame goes through one hand-written codec ([`Message`]). The
-//! encoder writes straight into the output buffer, byte for byte what
-//! `serde_json` renders for the same value; the serde derives on the
-//! protocol types remain only as that reference. The decoder reads each
+//! Every frame goes through one hand-written codec ([`Message`]), the
+//! `stats` and `registry` payloads included. The encoder writes straight
+//! into the output buffer with the workspace's JSON writers
+//! ([`uof_telemetry::json`]), byte for byte what `serde_json` renders for
+//! the same value; the serde derives on the protocol and payload types
+//! remain only as that reference, for the tests. The decoder reads each
 //! message's closed key set directly from the frame in one linear pass, in
 //! any key order, with any whitespace, escapes and unknown keys. It builds
 //! no intermediate value tree, recurses no deeper than the schema's fixed
@@ -17,8 +19,11 @@
 
 use std::borrow::Cow;
 
+use reach_cache::CacheStats;
 use serde::{Deserialize, Serialize};
-use uof_telemetry::TraceContext;
+use uof_telemetry::json::{push_i64, push_string, push_u64};
+use uof_telemetry::{BucketCount, TraceContext};
+use uof_telemetry::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, RegistrySnapshot};
 
 /// Protocol version this build speaks.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -299,14 +304,14 @@ pub enum ReachResponse {
     /// The server's query-cache statistics snapshot.
     Stats {
         /// Counters and residency at the time of the request.
-        stats: reach_cache::CacheStats,
+        stats: CacheStats,
     },
     /// The server's full telemetry registry dump: every counter, gauge,
     /// and latency histogram, sorted by name (cache statistics are
     /// mirrored in as `reach_cache.*` gauges at snapshot time).
     StatsSnapshot {
         /// Registry contents at the time of the request.
-        registry: uof_telemetry::RegistrySnapshot,
+        registry: RegistrySnapshot,
     },
     /// Successful sampled reach report from the posting-list index. The
     /// reporting floor and advisory are applied server-side exactly as for
@@ -351,9 +356,8 @@ pub enum FrameError {
     /// A line exceeded [`MAX_FRAME`] before its newline arrived.
     Oversized,
     /// The frame is not JSON, or not the message's shape: a syntax error,
-    /// a missing required key, an unknown `kind`, a fixed-length array of
-    /// the wrong length, or a serde error from a `stats`/`registry`
-    /// payload.
+    /// a missing required key, an unknown `kind`, or a fixed-length array
+    /// of the wrong length.
     Malformed(String),
     /// A key's value has the wrong JSON type.
     WrongType {
@@ -603,14 +607,9 @@ fn write_request(
 ) {
     out.extend_from_slice(b"{\"v\":");
     push_u64(out, u64::from(request.v));
-    out.extend_from_slice(b",\"locations\":[");
-    for (i, location) in request.locations.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        push_string(out, location);
-    }
-    out.extend_from_slice(b"],\"interests\":");
+    out.extend_from_slice(b",\"locations\":");
+    push_array(out, &request.locations, |out, location| push_string(out, location));
+    out.extend_from_slice(b",\"interests\":");
     push_u32s(out, &request.interests);
     out.extend_from_slice(b",\"nested\":");
     push_opt_bool(out, request.nested);
@@ -690,21 +689,20 @@ fn write_response(
             push_string(out, message);
         }
         ReachResponse::Nested { reaches } => {
-            out.extend_from_slice(b"\"kind\":\"nested\",\"reaches\":[");
-            for (i, p) in reaches.iter().enumerate() {
-                out.extend_from_slice(if i > 0 { b",{" } else { b"{" });
+            out.extend_from_slice(b"\"kind\":\"nested\",\"reaches\":");
+            push_array(out, reaches, |out, p| {
+                out.push(b'{');
                 push_point(out, p.reported, p.floored, p.too_narrow_warning);
                 out.push(b'}');
-            }
-            out.push(b']');
+            });
         }
         ReachResponse::Stats { stats } => {
             out.extend_from_slice(b"\"kind\":\"stats\",\"stats\":");
-            push_serde(out, stats);
+            write_cache_stats(out, stats);
         }
         ReachResponse::StatsSnapshot { registry } => {
             out.extend_from_slice(b"\"kind\":\"stats_snapshot\",\"registry\":");
-            push_serde(out, registry);
+            write_registry(out, registry);
         }
         ReachResponse::SampledReach { reported, floored, too_narrow_warning } => {
             out.extend_from_slice(b"\"kind\":\"sampled_reach\",");
@@ -715,21 +713,8 @@ fn write_response(
             push_u64(out, *generation);
             out.extend_from_slice(b",\"chunks\":");
             push_u32s(out, chunks);
-            out.extend_from_slice(b",\"values\":[");
-            for (i, row) in values.iter().enumerate() {
-                if i > 0 {
-                    out.push(b',');
-                }
-                out.push(b'[');
-                for (j, &v) in row.iter().enumerate() {
-                    if j > 0 {
-                        out.push(b',');
-                    }
-                    push_u64(out, v);
-                }
-                out.push(b']');
-            }
-            out.push(b']');
+            out.extend_from_slice(b",\"values\":");
+            push_array(out, values, |out, row| push_array(out, row, |out, &v| push_u64(out, v)));
         }
     }
     out.push(b'}');
@@ -747,10 +732,89 @@ fn push_point(out: &mut Vec<u8>, reported: u64, floored: bool, too_narrow_warnin
     });
 }
 
-/// A serde-encoded payload (the rare `stats` and `registry` bodies).
-fn push_serde<T: Serialize>(out: &mut Vec<u8>, value: &T) {
-    // lint:allow(no-unwrap) — invariant: serde_json::to_vec never fails on a value tree
-    out.extend_from_slice(&serde_json::to_vec(value).expect("payload serialises"));
+/// `,"key":` — a member after the first.
+fn push_key(out: &mut Vec<u8>, key: &str) {
+    out.push(b',');
+    push_string(out, key);
+    out.push(b':');
+}
+
+/// A `stats` body: [`CacheStats`]' fields in declaration order.
+fn write_cache_stats(out: &mut Vec<u8>, s: &CacheStats) {
+    out.extend_from_slice(if s.enabled { b"{\"enabled\":true" } else { b"{\"enabled\":false" });
+    for (key, n) in [
+        ("epoch", s.epoch),
+        ("shards", s.shards as u64),
+        ("capacity", s.capacity as u64),
+        ("entries", s.entries as u64),
+        ("hits", s.hits),
+        ("misses", s.misses),
+        ("single_flight_waits", s.single_flight_waits),
+        ("insertions", s.insertions),
+        ("evictions", s.evictions),
+        ("invalidations", s.invalidations),
+        ("prefix_entries", s.prefix_entries as u64),
+        ("prefix_hits", s.prefix_hits),
+        ("prefix_misses", s.prefix_misses),
+        ("prefix_extensions", s.prefix_extensions),
+    ] {
+        push_key(out, key);
+        push_u64(out, n);
+    }
+    out.push(b'}');
+}
+
+/// A `registry` body: [`RegistrySnapshot`]'s three lists, each entry's
+/// fields in declaration order.
+fn write_registry(out: &mut Vec<u8>, r: &RegistrySnapshot) {
+    out.extend_from_slice(b"{\"counters\":");
+    push_array(out, &r.counters, |out, c| {
+        out.extend_from_slice(b"{\"name\":");
+        push_string(out, &c.name);
+        push_key(out, "value");
+        push_u64(out, c.value);
+        out.push(b'}');
+    });
+    out.extend_from_slice(b",\"gauges\":");
+    push_array(out, &r.gauges, |out, g| {
+        out.extend_from_slice(b"{\"name\":");
+        push_string(out, &g.name);
+        push_key(out, "value");
+        push_i64(out, g.value);
+        out.push(b'}');
+    });
+    out.extend_from_slice(b",\"histograms\":");
+    push_array(out, &r.histograms, |out, h| {
+        out.extend_from_slice(b"{\"name\":");
+        push_string(out, &h.name);
+        push_key(out, "count");
+        push_u64(out, h.count);
+        push_key(out, "sum");
+        push_u64(out, h.sum);
+        push_key(out, "buckets");
+        push_array(out, &h.buckets, |out, b| {
+            out.extend_from_slice(b"{\"le\":");
+            push_u64(out, b.le);
+            push_key(out, "count");
+            push_u64(out, b.count);
+            out.push(b'}');
+        });
+        out.push(b'}');
+    });
+    out.push(b'}');
+}
+
+/// `[item,item,…]`.
+#[inline]
+fn push_array<T>(out: &mut Vec<u8>, items: &[T], mut item: impl FnMut(&mut Vec<u8>, &T)) {
+    out.push(b'[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        item(out, x);
+    }
+    out.push(b']');
 }
 
 fn push_opt_bool(out: &mut Vec<u8>, value: Option<bool>) {
@@ -762,62 +826,7 @@ fn push_opt_bool(out: &mut Vec<u8>, value: Option<bool>) {
 }
 
 fn push_u32s(out: &mut Vec<u8>, values: &[u32]) {
-    out.push(b'[');
-    for (i, &v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        push_u64(out, u64::from(v));
-    }
-    out.push(b']');
-}
-
-/// Appends `n` in decimal ASCII.
-fn push_u64(out: &mut Vec<u8>, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[i..]);
-}
-
-/// Appends `s` as a JSON string: `"`, `\` and control characters escaped
-/// (short forms where JSON has them, `\u00xx` otherwise), everything else
-/// copied in runs.
-fn push_string(out: &mut Vec<u8>, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.push(b'"');
-    let bytes = s.as_bytes();
-    let mut run = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        let unicode;
-        let short: &[u8] = match b {
-            b'"' => b"\\\"",
-            b'\\' => b"\\\\",
-            b'\n' => b"\\n",
-            b'\r' => b"\\r",
-            b'\t' => b"\\t",
-            0x08 => b"\\b",
-            0x0c => b"\\f",
-            0..=0x1f => {
-                unicode =
-                    [b'\\', b'u', b'0', b'0', HEX[usize::from(b >> 4)], HEX[usize::from(b & 15)]];
-                &unicode
-            }
-            _ => continue,
-        };
-        out.extend_from_slice(&bytes[run..i]);
-        out.extend_from_slice(short);
-        run = i + 1;
-    }
-    out.extend_from_slice(&bytes[run..]);
-    out.push(b'"');
+    push_array(out, values, |out, &v| push_u64(out, u64::from(v)));
 }
 
 // ---------------------------------------------------------------- decoder
@@ -831,15 +840,18 @@ fn push_string(out: &mut Vec<u8>, s: &str) {
 // saturates through `f64`).
 
 /// Deepest container nesting a frame may contain, the outermost object
-/// being depth 1 (the vendored `serde_json` parser's limit). The schema
-/// itself needs 3; deeper input can only sit under unknown keys or in a
-/// `stats`/`registry` payload.
-pub const MAX_DEPTH: usize = serde_json::MAX_DEPTH;
+/// being depth 1 (the workspace JSON parser's limit, and `serde_json`'s).
+/// The schema itself needs 6 (a histogram bucket of a `registry` payload);
+/// deeper input can only sit under unknown keys.
+pub const MAX_DEPTH: usize = uof_telemetry::json::MAX_DEPTH;
 
 type Decoded<T> = Result<T, FrameError>;
 
 /// 2^64: the smallest whole `f64` that no `u64` holds.
 const U64_LIMIT: f64 = 18_446_744_073_709_551_616.0;
+
+/// 2^63: the smallest whole `f64` that no `i64` holds.
+const I64_LIMIT: f64 = 9_223_372_036_854_775_808.0;
 
 const INTEGER: &str = "a non-negative integer";
 
@@ -1207,6 +1219,33 @@ impl<'a> Reader<'a> {
         u32::try_from(self.u64(key)?).map_err(|_| FrameError::Overflow { key })
     }
 
+    fn usize(&mut self, key: &'static str) -> Decoded<usize> {
+        usize::try_from(self.u64(key)?).map_err(|_| FrameError::Overflow { key })
+    }
+
+    /// Reads a whole number for `key` in `i64`'s range, in the same forms
+    /// as [`Reader::u64`] plus a sign.
+    fn i64(&mut self, key: &'static str) -> Decoded<i64> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(wrong(key, "an integer"));
+        }
+        match self.number()? {
+            Number::Int { negative, value: Some(n) } => {
+                let n = if negative { 0i64.checked_sub_unsigned(n) } else { i64::try_from(n).ok() };
+                n.ok_or(FrameError::Overflow { key })
+            }
+            Number::Int { value: None, .. } => Err(FrameError::Overflow { key }),
+            Number::Float(f) if f.is_finite() && f.trunc() == f => {
+                if (-I64_LIMIT..I64_LIMIT).contains(&f) {
+                    Ok(f as i64)
+                } else {
+                    Err(FrameError::Overflow { key })
+                }
+            }
+            _ => Err(wrong(key, "an integer")),
+        }
+    }
+
     /// `null` as `None`, anything else through `read`.
     fn nullable<T>(&mut self, read: impl FnOnce(&mut Self) -> Decoded<T>) -> Decoded<Option<T>> {
         if self.literal(b"null") {
@@ -1274,13 +1313,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// The raw bytes of one top-level value, validated as JSON.
-    fn raw_value(&mut self) -> Decoded<&'a [u8]> {
-        let start = self.pos;
-        self.skip_value(1)?;
-        Ok(&self.bytes[start..self.pos])
-    }
-
     /// A response's `kind` tag.
     fn kind(&mut self) -> Decoded<Kind> {
         if self.peek() != Some(b'"') {
@@ -1345,13 +1377,25 @@ impl<'a> Reader<'a> {
         }))
     }
 
+    /// Reads an object at `depth` that is an element of the array under
+    /// `key`, with every one of `names` required (see [`Reader::fields`]).
+    fn record(
+        &mut self,
+        key: &'static str,
+        names: &[&'static str],
+        depth: usize,
+        read: impl FnMut(&mut Self, &'static str) -> Decoded<()>,
+    ) -> Decoded<()> {
+        if self.peek() != Some(b'{') {
+            return Err(wrong(key, "an array of objects"));
+        }
+        self.fields(names, names.len(), depth, read)
+    }
+
     /// One [`ReachPoint`] object of a nested answer (depth 3).
     fn point(&mut self) -> Decoded<ReachPoint> {
-        if self.peek() != Some(b'{') {
-            return Err(wrong("reaches", "an array of objects"));
-        }
         let mut p = ReachPoint { reported: 0, floored: false, too_narrow_warning: false };
-        self.fields(&["reported", "floored", "too_narrow_warning"], 3, 3, |r, key| {
+        self.record("reaches", &["reported", "floored", "too_narrow_warning"], 3, |r, key| {
             match key {
                 "reported" => p.reported = r.u64(key)?,
                 "floored" => p.floored = r.bool(key)?,
@@ -1361,7 +1405,122 @@ impl<'a> Reader<'a> {
         })?;
         Ok(p)
     }
+
+    /// A `stats` payload (depth 2): every [`CacheStats`] field required.
+    fn cache_stats(&mut self) -> Decoded<CacheStats> {
+        if self.peek() != Some(b'{') {
+            return Err(wrong("stats", "an object"));
+        }
+        let mut s = CacheStats::default();
+        self.fields(&CACHE_STATS_KEYS, CACHE_STATS_KEYS.len(), 2, |r, key| {
+            match key {
+                "enabled" => s.enabled = r.bool(key)?,
+                "epoch" => s.epoch = r.u64(key)?,
+                "shards" => s.shards = r.usize(key)?,
+                "capacity" => s.capacity = r.usize(key)?,
+                "entries" => s.entries = r.usize(key)?,
+                "hits" => s.hits = r.u64(key)?,
+                "misses" => s.misses = r.u64(key)?,
+                "single_flight_waits" => s.single_flight_waits = r.u64(key)?,
+                "insertions" => s.insertions = r.u64(key)?,
+                "evictions" => s.evictions = r.u64(key)?,
+                "invalidations" => s.invalidations = r.u64(key)?,
+                "prefix_entries" => s.prefix_entries = r.usize(key)?,
+                "prefix_hits" => s.prefix_hits = r.u64(key)?,
+                "prefix_misses" => s.prefix_misses = r.u64(key)?,
+                _ => s.prefix_extensions = r.u64(key)?,
+            }
+            Ok(())
+        })?;
+        Ok(s)
+    }
+
+    /// A `registry` payload (depth 2; a histogram's buckets reach depth 6).
+    fn registry(&mut self) -> Decoded<RegistrySnapshot> {
+        if self.peek() != Some(b'{') {
+            return Err(wrong("registry", "an object"));
+        }
+        let mut snap = RegistrySnapshot::default();
+        self.fields(&["counters", "gauges", "histograms"], 3, 2, |r, key| {
+            match key {
+                "counters" => snap.counters = r.list(key, |r| r.counter_snapshot(key))?,
+                "gauges" => snap.gauges = r.list(key, |r| r.gauge_snapshot(key))?,
+                _ => snap.histograms = r.list(key, |r| r.histogram_snapshot(key))?,
+            }
+            Ok(())
+        })
+        .map(|()| snap)
+    }
+
+    fn counter_snapshot(&mut self, list: &'static str) -> Decoded<CounterSnapshot> {
+        let mut c = CounterSnapshot::default();
+        self.record(list, &["name", "value"], 4, |r, key| {
+            match key {
+                "name" => c.name = r.owned_string(key)?,
+                _ => c.value = r.u64(key)?,
+            }
+            Ok(())
+        })
+        .map(|()| c)
+    }
+
+    fn gauge_snapshot(&mut self, list: &'static str) -> Decoded<GaugeSnapshot> {
+        let mut g = GaugeSnapshot::default();
+        self.record(list, &["name", "value"], 4, |r, key| {
+            match key {
+                "name" => g.name = r.owned_string(key)?,
+                _ => g.value = r.i64(key)?,
+            }
+            Ok(())
+        })
+        .map(|()| g)
+    }
+
+    fn histogram_snapshot(&mut self, list: &'static str) -> Decoded<HistogramSnapshot> {
+        let mut h = HistogramSnapshot::default();
+        self.record(list, &["name", "count", "sum", "buckets"], 4, |r, key| {
+            match key {
+                "name" => h.name = r.owned_string(key)?,
+                "count" => h.count = r.u64(key)?,
+                "sum" => h.sum = r.u64(key)?,
+                _ => h.buckets = r.list(key, |r| r.bucket(key))?,
+            }
+            Ok(())
+        })
+        .map(|()| h)
+    }
+
+    fn bucket(&mut self, list: &'static str) -> Decoded<BucketCount> {
+        let mut b = BucketCount::default();
+        self.record(list, &["le", "count"], 6, |r, key| {
+            match key {
+                "le" => b.le = r.u64(key)?,
+                _ => b.count = r.u64(key)?,
+            }
+            Ok(())
+        })
+        .map(|()| b)
+    }
 }
+
+/// [`CacheStats`]' keys, all required.
+const CACHE_STATS_KEYS: [&str; 15] = [
+    "enabled",
+    "epoch",
+    "shards",
+    "capacity",
+    "entries",
+    "hits",
+    "misses",
+    "single_flight_waits",
+    "insertions",
+    "evictions",
+    "invalidations",
+    "prefix_entries",
+    "prefix_hits",
+    "prefix_misses",
+    "prefix_extensions",
+];
 
 /// The request's keys; the first three are required.
 const REQUEST_KEYS: [&str; 10] = [
@@ -1421,12 +1580,6 @@ fn need<T>(slot: Slot<T>, key: &'static str) -> Decoded<T> {
     slot.unwrap_or_else(|| Err(missing(key)))
 }
 
-/// Decodes a serde-encoded `stats`/`registry` payload.
-fn payload<T: for<'de> Deserialize<'de>>(span: Option<&[u8]>, key: &'static str) -> Decoded<T> {
-    let span = span.ok_or_else(|| missing(key))?;
-    serde_json::from_slice(span).map_err(|e| FrameError::Malformed(format!("`{key}`: {e}")))
-}
-
 /// The envelope keys, `kind`, and every variant's fields.
 const RESPONSE_KEYS: [&str; 14] = [
     "id",
@@ -1459,7 +1612,8 @@ pub fn decode_response_frame(frame: &[u8]) -> Result<ResponseFrame, FrameError> 
     let mut reaches: Slot<Vec<ReachPoint>> = None;
     let mut chunks: Slot<Vec<u32>> = None;
     let mut values: Slot<Vec<Vec<u64>>> = None;
-    let (mut stats, mut registry) = (None, None);
+    let mut stats: Slot<CacheStats> = None;
+    let mut registry: Slot<RegistrySnapshot> = None;
     let mut r = Reader { bytes: frame, pos: 0 };
     r.frame(|r| {
         r.fields(&RESPONSE_KEYS, 0, 1, |r, key| {
@@ -1473,8 +1627,8 @@ pub fn decode_response_frame(frame: &[u8]) -> Result<ResponseFrame, FrameError> 
                 "retry_after_ms" => retry_after_ms = r.slot(|r| r.u64(key))?,
                 "message" => message = r.slot(|r| r.owned_string(key))?,
                 "reaches" => reaches = r.slot(|r| r.list(key, Reader::point))?,
-                "stats" => stats = Some(r.raw_value()?),
-                "registry" => registry = Some(r.raw_value()?),
+                "stats" => stats = r.slot(Reader::cache_stats)?,
+                "registry" => registry = r.slot(Reader::registry)?,
                 "generation" => generation = r.slot(|r| r.u64(key))?,
                 "chunks" => chunks = r.slot(|r| r.list(key, |r| r.u32(key)))?,
                 _ => values = r.slot(|r| r.list(key, |r| r.list(key, |r| r.u64(key))))?,
@@ -1493,9 +1647,9 @@ pub fn decode_response_frame(frame: &[u8]) -> Result<ResponseFrame, FrameError> 
         }
         Kind::Error => ReachResponse::Error { message: need(message, "message")? },
         Kind::Nested => ReachResponse::Nested { reaches: need(reaches, "reaches")? },
-        Kind::Stats => ReachResponse::Stats { stats: payload(stats, "stats")? },
+        Kind::Stats => ReachResponse::Stats { stats: need(stats, "stats")? },
         Kind::StatsSnapshot => {
-            ReachResponse::StatsSnapshot { registry: payload(registry, "registry")? }
+            ReachResponse::StatsSnapshot { registry: need(registry, "registry")? }
         }
         Kind::SampledReach => ReachResponse::SampledReach {
             reported: need(reported, "reported")?,

@@ -21,7 +21,10 @@ use reach_api::proto::{
     append_request_frame, decode, decode_response_frame, encode, encode_response_frame, FrameCodec,
     FrameError, ReachPoint, ReachRequest, ReachResponse, ResponseFrame, ServerTiming, MAX_DEPTH,
 };
-use uof_telemetry::TraceContext;
+use reach_cache::CacheStats;
+use uof_telemetry::{
+    BucketCount, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, RegistrySnapshot, TraceContext,
+};
 
 proptest! {
     #[test]
@@ -191,8 +194,9 @@ fn reference_decode_response(frame: &[u8]) -> Result<ResponseFrame, serde::Error
 ///
 /// 1. a key of the schema given twice — serde kept the first value and
 ///    silently dropped the rest;
-/// 2. an integer past `u64::MAX` — serde read it through `f64` and
-///    saturated it to `u64::MAX`, silently changing the value.
+/// 2. an integer past its type's range (`u64`, or `i64` for a gauge) —
+///    serde read it through `f64` and saturated it, silently changing the
+///    value.
 fn allowed_disagreement(error: &FrameError) -> bool {
     matches!(error, FrameError::DuplicateKey(_) | FrameError::Overflow { .. })
 }
@@ -297,17 +301,8 @@ fn gen_response(rng: &mut StdRng) -> ReachResponse {
         3 => ReachResponse::Nested {
             reaches: (0..rng.gen_range(0..26)).map(|_| point(rng)).collect(),
         },
-        4 => {
-            let cache = reach_cache::ReachCache::new(reach_cache::CacheConfig::default());
-            ReachResponse::Stats { stats: cache.stats() }
-        }
-        5 => {
-            let registry = uof_telemetry::Registry::new();
-            registry.counter("reach.requests.scalar").add(big(rng));
-            registry.gauge("reach.requests.in_flight").set(rng.gen_range(0..9));
-            registry.latency_histogram("reach.request.scalar").observe(rng.gen_range(0..1 << 40));
-            ReachResponse::StatsSnapshot { registry: registry.snapshot() }
-        }
+        4 => ReachResponse::Stats { stats: gen_cache_stats(rng) },
+        5 => ReachResponse::StatsSnapshot { registry: gen_registry(rng) },
         6 => {
             let p = point(rng);
             ReachResponse::SampledReach {
@@ -327,6 +322,49 @@ fn gen_response(rng: &mut StdRng) -> ReachResponse {
     }
 }
 
+fn gen_cache_stats(rng: &mut StdRng) -> CacheStats {
+    CacheStats {
+        enabled: rng.gen(),
+        epoch: big(rng),
+        shards: big(rng) as usize,
+        capacity: big(rng) as usize,
+        entries: big(rng) as usize,
+        hits: big(rng),
+        misses: big(rng),
+        single_flight_waits: big(rng),
+        insertions: big(rng),
+        evictions: big(rng),
+        invalidations: big(rng),
+        prefix_entries: big(rng) as usize,
+        prefix_hits: big(rng),
+        prefix_misses: big(rng),
+        prefix_extensions: big(rng),
+    }
+}
+
+/// A registry dump with hostile names and gauges of either sign,
+/// `i64::MIN` and `i64::MAX` included.
+fn gen_registry(rng: &mut StdRng) -> RegistrySnapshot {
+    RegistrySnapshot {
+        counters: (0..rng.gen_range(0..4))
+            .map(|_| CounterSnapshot { name: text(rng, 8), value: big(rng) })
+            .collect(),
+        gauges: (0..rng.gen_range(0..4))
+            .map(|_| GaugeSnapshot { name: text(rng, 8), value: big(rng) as i64 })
+            .collect(),
+        histograms: (0..rng.gen_range(0..3))
+            .map(|_| HistogramSnapshot {
+                name: text(rng, 8),
+                count: big(rng),
+                sum: big(rng),
+                buckets: (0..rng.gen_range(0..5))
+                    .map(|_| BucketCount { le: big(rng), count: big(rng) })
+                    .collect(),
+            })
+            .collect(),
+    }
+}
+
 // ------------------------------------------------- hand-written JSON frames
 
 /// A JSON value to render with random (but valid) spelling.
@@ -337,7 +375,7 @@ enum J {
     Str(String),
     Arr(Vec<J>),
     Obj(Vec<(String, J)>),
-    /// Text copied as is (a serde-encoded payload).
+    /// Text copied as is (a number form `Int` does not cover).
     Raw(String),
 }
 
@@ -483,10 +521,82 @@ fn ints(values: &[u64]) -> J {
     J::Arr(values.iter().map(|&v| J::Int(v)).collect())
 }
 
-/// An object of `pairs` in random key order.
+/// An object of `pairs` in random key order, now and then with an
+/// unknown key mixed in.
 fn obj(rng: &mut StdRng, mut pairs: Vec<(&str, J)>) -> J {
+    if rng.gen_bool(0.25) {
+        pairs.push(("x-extra", junk(rng, 2)));
+    }
     pairs.shuffle(rng);
     J::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// A signed integer: negative ones as plain digits after a minus.
+fn signed(n: i64) -> J {
+    if n < 0 {
+        J::Raw(n.to_string())
+    } else {
+        J::Int(n as u64)
+    }
+}
+
+fn stats_json(rng: &mut StdRng, s: &CacheStats) -> J {
+    let size = |n: usize| J::Int(n as u64);
+    let pairs = vec![
+        ("enabled", J::Bool(s.enabled)),
+        ("epoch", J::Int(s.epoch)),
+        ("shards", size(s.shards)),
+        ("capacity", size(s.capacity)),
+        ("entries", size(s.entries)),
+        ("hits", J::Int(s.hits)),
+        ("misses", J::Int(s.misses)),
+        ("single_flight_waits", J::Int(s.single_flight_waits)),
+        ("insertions", J::Int(s.insertions)),
+        ("evictions", J::Int(s.evictions)),
+        ("invalidations", J::Int(s.invalidations)),
+        ("prefix_entries", size(s.prefix_entries)),
+        ("prefix_hits", J::Int(s.prefix_hits)),
+        ("prefix_misses", J::Int(s.prefix_misses)),
+        ("prefix_extensions", J::Int(s.prefix_extensions)),
+    ];
+    obj(rng, pairs)
+}
+
+fn registry_json(rng: &mut StdRng, r: &RegistrySnapshot) -> J {
+    let counters = r
+        .counters
+        .iter()
+        .map(|c| obj(rng, vec![("name", J::Str(c.name.clone())), ("value", J::Int(c.value))]))
+        .collect();
+    let gauges = r
+        .gauges
+        .iter()
+        .map(|g| obj(rng, vec![("name", J::Str(g.name.clone())), ("value", signed(g.value))]))
+        .collect();
+    let histograms = r
+        .histograms
+        .iter()
+        .map(|h| {
+            let buckets = h
+                .buckets
+                .iter()
+                .map(|b| obj(rng, vec![("le", J::Int(b.le)), ("count", J::Int(b.count))]))
+                .collect();
+            let pairs = vec![
+                ("name", J::Str(h.name.clone())),
+                ("count", J::Int(h.count)),
+                ("sum", J::Int(h.sum)),
+                ("buckets", J::Arr(buckets)),
+            ];
+            obj(rng, pairs)
+        })
+        .collect();
+    let pairs = vec![
+        ("counters", J::Arr(counters)),
+        ("gauges", J::Arr(gauges)),
+        ("histograms", J::Arr(histograms)),
+    ];
+    obj(rng, pairs)
 }
 
 fn timing_json(rng: &mut StdRng, t: &ServerTiming) -> J {
@@ -555,11 +665,9 @@ fn response_frame(rng: &mut StdRng, f: &ResponseFrame) -> Vec<u8> {
                 .collect();
             ("nested", vec![("reaches", J::Arr(points))])
         }
-        ReachResponse::Stats { stats } => {
-            ("stats", vec![("stats", J::Raw(serde_json::to_string(stats).unwrap()))])
-        }
+        ReachResponse::Stats { stats } => ("stats", vec![("stats", stats_json(rng, stats))]),
         ReachResponse::StatsSnapshot { registry } => {
-            ("stats_snapshot", vec![("registry", J::Raw(serde_json::to_string(registry).unwrap()))])
+            ("stats_snapshot", vec![("registry", registry_json(rng, registry))])
         }
         ReachResponse::ShardPartials { generation, chunks, values } => {
             let chunks: Vec<u64> = chunks.iter().map(|&c| u64::from(c)).collect();
@@ -630,6 +738,24 @@ proptest! {
         let mut want = b"queued\n".to_vec();
         want.extend(encode(&request.clone().with_id(id).with_trace(trace)));
         prop_assert_eq!(queue, want);
+    }
+
+    #[test]
+    fn stats_payloads_encode_like_serde_and_round_trip(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for response in [
+            ReachResponse::Stats { stats: gen_cache_stats(&mut rng) },
+            ReachResponse::StatsSnapshot { registry: gen_registry(&mut rng) },
+        ] {
+            let id = rng.gen_bool(0.5).then(|| big(&mut rng));
+            let frame = encode_response_frame(id, None, &response);
+            prop_assert_eq!(
+                String::from_utf8(frame.clone()).unwrap(),
+                String::from_utf8(reference_response_frame(id, None, &response)).unwrap()
+            );
+            let back = decode_response_frame(&frame).unwrap();
+            prop_assert_eq!(back, ResponseFrame { id, server_timing: None, response });
+        }
     }
 
     #[test]
@@ -748,7 +874,24 @@ fn adversarial_corpus_yields_typed_errors() {
         (b"{}".to_vec(), None),
         (r#"{"kind":"bogus"}"#.into(), None),
         (r#"{"kind":7}"#.into(), None),
-        (r#"{"kind":"stats","stats":{"enabled":true}}"#.into(), None),
+        (r#"{"kind":"stats","stats":{"enabled":true}}"#.into(), Some(FrameError::Malformed("missing key `epoch`".into()))),
+        // Malformed stats and registry payloads.
+        (r#"{"kind":"stats","stats":[]}"#.into(), Some(FrameError::WrongType { key: "stats", expected: "an object" })),
+        (r#"{"kind":"stats_snapshot","registry":null}"#.into(), Some(FrameError::WrongType { key: "registry", expected: "an object" })),
+        (r#"{"kind":"stats_snapshot","registry":{"counters":[],"gauges":[]}}"#.into(), Some(FrameError::Malformed("missing key `histograms`".into()))),
+        (r#"{"kind":"stats_snapshot","registry":{"counters":{},"gauges":[],"histograms":[]}}"#.into(), Some(FrameError::WrongType { key: "counters", expected: "an array" })),
+        (r#"{"kind":"stats_snapshot","registry":{"counters":[7],"gauges":[],"histograms":[]}}"#.into(), Some(FrameError::WrongType { key: "counters", expected: "an array of objects" })),
+        (r#"{"kind":"stats_snapshot","registry":{"counters":[{"name":"c","value":-1}],"gauges":[],"histograms":[]}}"#.into(), Some(FrameError::WrongType { key: "value", expected: "a non-negative integer" })),
+        (r#"{"kind":"stats_snapshot","registry":{"counters":[],"gauges":[{"name":"g","value":-9223372036854775808}],"histograms":[]}}"#.into(), None),
+        (r#"{"kind":"stats_snapshot","registry":{"counters":[],"gauges":[{"name":"g","value":9223372036854775808}],"histograms":[]}}"#.into(), Some(FrameError::Overflow { key: "value" })),
+        (r#"{"kind":"stats_snapshot","registry":{"counters":[],"gauges":[{"name":"g","value":-9223372036854775809}],"histograms":[]}}"#.into(), Some(FrameError::Overflow { key: "value" })),
+        (r#"{"kind":"stats_snapshot","registry":{"counters":[],"gauges":[{"name":"g","value":-1e300}],"histograms":[]}}"#.into(), Some(FrameError::Overflow { key: "value" })),
+        (r#"{"kind":"stats_snapshot","registry":{"counters":[],"gauges":[{"name":"g","value":-2.5}],"histograms":[]}}"#.into(), Some(FrameError::WrongType { key: "value", expected: "an integer" })),
+        (r#"{"kind":"stats_snapshot","registry":{"counters":[],"gauges":[{"name":7,"value":1}],"histograms":[]}}"#.into(), Some(FrameError::WrongType { key: "name", expected: "a string" })),
+        (r#"{"kind":"stats_snapshot","registry":{"counters":[],"gauges":[],"histograms":[{"name":"h","count":1,"sum":2,"buckets":[{"le":1}]}]}}"#.into(), Some(FrameError::Malformed("missing key `count`".into()))),
+        (format!(r#"{{"kind":"stats_snapshot","registry":{{"counters":[],"gauges":[],"histograms":[{{"name":"h","count":1,"sum":2,"buckets":[{{"le":1,"count":0,"x":{}{}}}]}}]}}}}"#, "[".repeat(MAX_DEPTH - 6), "]".repeat(MAX_DEPTH - 6)).into_bytes(), None),
+        (format!(r#"{{"kind":"stats_snapshot","registry":{{"counters":[],"gauges":[],"histograms":[{{"name":"h","count":1,"sum":2,"buckets":[{{"le":1,"count":0,"x":{}{}}}]}}]}}}}"#, "[".repeat(MAX_DEPTH - 5), "]".repeat(MAX_DEPTH - 5)).into_bytes(), Some(FrameError::TooDeep)),
+        (r#"{"kind":"reach","reported":1,"floored":true,"too_narrow_warning":false,"stats":{"enabled":1}}"#.into(), None),
     ];
     corpus.push((
         br#"{"kind":"reach","reported":1,"floored":tru,"too_narrow_warning":false}"#.to_vec(),

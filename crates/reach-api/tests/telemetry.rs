@@ -136,7 +136,7 @@ fn v1_frames_without_extension_keys_still_served() {
     stream.write_all(b"{\"v\":1,\"locations\":[\"US\",\"ES\"],\"interests\":[0]}\n").unwrap();
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
-    let response: ReachResponse = serde_json::from_str(line.trim_end()).unwrap();
+    let response = decode_response_frame(line.trim_end().as_bytes()).unwrap().response;
     let reported = match response {
         ReachResponse::Reach { reported, .. } => reported,
         other => panic!("expected reach frame, got {other:?}"),
@@ -214,7 +214,7 @@ fn v1_and_id_only_frames_are_served_unchanged_by_a_tracing_server() {
     assert!(!line.contains("\"id\""), "id-less request grew an id: {line}");
     assert!(!line.contains("server_timing"), "unsolicited timing echo: {line}");
     assert!(!line.contains("trace"), "trace bytes leaked to a v1 client: {line}");
-    let response: ReachResponse = serde_json::from_str(line.trim_end()).unwrap();
+    let response = decode_response_frame(line.trim_end().as_bytes()).unwrap().response;
     match response {
         ReachResponse::Reach { reported, .. } => assert_eq!(reported, expected.reported),
         other => panic!("expected reach frame, got {other:?}"),

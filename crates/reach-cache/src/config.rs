@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Tuning knobs for the reach cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Whether the cache is consulted at all.
     pub enabled: bool,
@@ -50,7 +50,7 @@ impl CacheConfig {
 
 /// A point-in-time snapshot of the cache's state and event counters, as
 /// reported over the wire by the reach server's `stats` endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Whether caching is enabled.
     pub enabled: bool,

@@ -5,7 +5,6 @@ use fbsim_adplatform::reach::AdsManagerApi;
 use fbsim_fdvt::{AgeBand, FdvtDataset, FdvtUser, GenderDecl};
 use fbsim_population::countries::CountryCode;
 use fbsim_population::MaterializedUser;
-use serde::{Deserialize, Serialize};
 
 use crate::np::{estimate_np, NpError, NpEstimate};
 use crate::selection::SelectionStrategy;
@@ -15,7 +14,7 @@ use crate::vectors::AudienceVectors;
 pub const MIN_COUNTRY_USERS: usize = 100;
 
 /// One demographic group's `N_0.9` pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroupEstimate {
     /// Group label ("men", "women", "adolescence", "ES", …).
     pub group: String,

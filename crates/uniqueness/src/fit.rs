@@ -17,10 +17,9 @@
 //! ```
 
 use fbsim_stats::regression::LinearFit;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of fitting one `V_AS(Q)` vector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NpFit {
     /// The estimated `N_P` (interests needed for uniqueness with
     /// probability Q/100).

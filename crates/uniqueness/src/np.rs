@@ -1,14 +1,13 @@
 //! `N_P` estimation with bootstrap confidence intervals — Table 1.
 
 use fbsim_stats::bootstrap::{bootstrap_ci, BootstrapCi};
-use serde::{Deserialize, Serialize};
 
 use crate::fit::fit_np;
 use crate::selection::SelectionStrategy;
 use crate::vectors::AudienceVectors;
 
 /// One `N_P` estimate (one cell group of Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NpEstimate {
     /// Selection strategy.
     pub strategy: SelectionStrategy,
@@ -91,7 +90,7 @@ pub fn estimate_np(
 pub const TABLE1_PROBABILITIES: [f64; 4] = [0.5, 0.8, 0.9, 0.95];
 
 /// Table 1: `N(LP)_P` and `N(R)_P` for P ∈ {0.5, 0.8, 0.9, 0.95}.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NpTable {
     /// Least-popular row.
     pub lp: Vec<NpEstimate>,

@@ -15,14 +15,13 @@ use fbsim_fdvt::{AgeBand, FdvtUser, GenderDecl};
 use fbsim_population::countries::country_index;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::np::{estimate_np, NpError, NpEstimate};
 use crate::selection::{select_sequence, SelectionStrategy};
 use crate::vectors::AudienceVectors;
 
 /// Which demographic attributes the attacker combines with interests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Refinement {
     /// Restrict the audience to the target's country.
     pub use_country: bool,
@@ -121,7 +120,7 @@ pub fn collect_refined_vectors(
 }
 
 /// One row of the refinement comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RefinedEstimate {
     /// The refinement used.
     pub refinement: Refinement,

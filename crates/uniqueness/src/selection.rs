@@ -14,14 +14,13 @@
 use fbsim_population::{InterestCatalog, InterestId, MaterializedUser};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Maximum interests per audience — FB's cap, which also caps the model.
 pub const MAX_SEQUENCE: usize = 25;
 
 /// The two strategies of Section 4.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SelectionStrategy {
     /// `N(LP)_P`: the user's least popular interests first.
     LeastPopular,

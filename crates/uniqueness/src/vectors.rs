@@ -13,12 +13,11 @@ use fbsim_population::MaterializedUser;
 use fbsim_stats::quantile::quantile;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::selection::{select_sequence, SelectionStrategy, MAX_SEQUENCE};
 
 /// Per-user audience vectors for one selection strategy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AudienceVectors {
     /// Strategy that produced the vectors.
     pub strategy: SelectionStrategy,

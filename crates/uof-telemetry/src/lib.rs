@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod span;
@@ -59,10 +60,10 @@ pub use registry::{CounterSnapshot, GaugeSnapshot, Registry, RegistrySnapshot};
 pub use span::{FieldValue, SpanBuilder, SpanGuard, SpanSource, TraceContext};
 pub use trace::{TraceEvent, Tracer};
 
-/// Counter of trace events that failed to reach the attached sink
-/// (serialization or I/O error). Tracing stays best-effort — nothing ever
-/// blocks or panics on a full disk — but drops are no longer silent: the
-/// count lands in every registry snapshot.
+/// Counter of trace events that failed to reach the attached sink (an I/O
+/// error). Tracing stays best-effort — nothing ever blocks or panics on a
+/// full disk — but drops are no longer silent: the count lands in every
+/// registry snapshot.
 pub const TRACE_DROPPED_COUNTER: &str = "telemetry.trace.dropped";
 
 /// One telemetry domain: an enabled flag, a metric registry, and an

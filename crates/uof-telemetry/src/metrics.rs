@@ -243,7 +243,7 @@ impl Histogram {
 }
 
 /// One bucket of a serialized histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BucketCount {
     /// Inclusive upper bound of the bucket (`u64::MAX` = overflow bucket).
     pub le: u64,
@@ -252,7 +252,7 @@ pub struct BucketCount {
 }
 
 /// A serialized histogram, as shipped in a registry snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Registered name.
     pub name: String,

@@ -101,7 +101,7 @@ impl Registry {
 }
 
 /// A serialized counter reading.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
     /// Registered name.
     pub name: String,
@@ -110,7 +110,7 @@ pub struct CounterSnapshot {
 }
 
 /// A serialized gauge reading.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GaugeSnapshot {
     /// Registered name.
     pub name: String,

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::metrics::Histogram;
 use crate::trace::{TraceEvent, TraceField};
@@ -153,18 +153,6 @@ pub enum FieldValue {
     Bool(bool),
     /// Text (kept owned so call sites can pass computed labels).
     Str(String),
-}
-
-impl Serialize for FieldValue {
-    fn to_value(&self) -> Value {
-        match self {
-            FieldValue::U64(v) => Value::U64(*v),
-            FieldValue::I64(v) => Value::I64(*v),
-            FieldValue::F64(v) => Value::F64(*v),
-            FieldValue::Bool(v) => Value::Bool(*v),
-            FieldValue::Str(v) => Value::Str(v.clone()),
-        }
-    }
 }
 
 impl From<u64> for FieldValue {

@@ -48,10 +48,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod json;
 pub mod lexer;
 mod rules;
 pub mod trace_report;
+
+/// The workspace's one JSON writer and parser, shared with the trace sink
+/// and the reach-api codec.
+pub use uof_telemetry::json;
 
 pub use rules::{analyze_source, waivers_in_source, FileClass, Rule, Violation, Waiver};
 
