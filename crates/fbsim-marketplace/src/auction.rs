@@ -79,7 +79,7 @@ pub fn resolve(bids: &[Bid], pricing: Pricing, reserve: f64) -> Option<AuctionOu
         if bid.value < to_beat {
             continue;
         }
-        if sniper.map_or(true, |s| bid.value > s.value) {
+        if sniper.is_none_or(|s| bid.value > s.value) {
             sniper = Some(bid);
         }
     }

@@ -79,7 +79,8 @@ impl Marketplace {
     /// this returns [`Contention::NONE`] *exactly* — no averaging — so
     /// delivery through the market is bit-identical to the isolated path.
     pub fn contention_for(&self, base_price_eur: f64, bid_cap_eur: f64, seed: u64) -> Contention {
-        if self.campaigns.is_empty() || !(base_price_eur > 0.0) || !bid_cap_eur.is_finite() {
+        let priced = base_price_eur > 0.0; // false for NaN too
+        if self.campaigns.is_empty() || !priced || !bid_cap_eur.is_finite() {
             return Contention::NONE;
         }
         let _span = uof_telemetry::span!(

@@ -11,17 +11,16 @@
 //! ([`uof_telemetry::json`]), byte for byte what `serde_json` renders for
 //! the same value; the serde derives on the protocol and payload types
 //! remain only as that reference, for the tests. The decoder reads each
-//! message's closed key set directly from the frame in one linear pass, in
-//! any key order, with any whitespace, escapes and unknown keys. It builds
-//! no intermediate value tree, recurses no deeper than the schema's fixed
-//! shape, skips unknown values iteratively under [`MAX_DEPTH`], and refuses
-//! a frame with a typed [`FrameError`].
-
-use std::borrow::Cow;
+//! message's closed key set straight off the workspace's one JSON lexer
+//! ([`uof_telemetry::json::Cursor`]) in one linear pass, in any key order,
+//! with any whitespace, escapes and unknown keys. It builds no intermediate
+//! value tree, recurses no deeper than the schema's fixed shape, skips
+//! unknown values iteratively under [`MAX_DEPTH`], and refuses a frame with
+//! a typed [`FrameError`].
 
 use reach_cache::CacheStats;
 use serde::{Deserialize, Serialize};
-use uof_telemetry::json::{push_i64, push_string, push_u64};
+use uof_telemetry::json::{push_i64, push_string, push_u64, Cursor, LexError, Number};
 use uof_telemetry::{BucketCount, TraceContext};
 use uof_telemetry::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, RegistrySnapshot};
 
@@ -831,13 +830,13 @@ fn push_u32s(out: &mut Vec<u8>, values: &[u32]) {
 
 // ---------------------------------------------------------------- decoder
 //
-// Accepts what `serde_json` over the serde derives accepts: any key order,
-// JSON whitespace between tokens, escaped strings, unknown keys with any
-// value, `null` for an absent optional key, and serde_json's number forms
-// (`1.0`, `1e3` and `-0` are whole numbers). It refuses, with a typed
-// error, duplicate keys of the schema and integers past `u64::MAX`, both
-// of which serde_json resolves silently (the first key wins; the number
-// saturates through `f64`).
+// The lexer is `uof_telemetry::json::Cursor`, so frames follow JSON's
+// grammar exactly; this file is only the schema over it. It accepts any
+// key order, unknown keys with any value, `null` for an absent optional
+// key, and the whole-number forms `7.0`, `7e0` and `-0`, as the serde path
+// does. It refuses, with a typed error, duplicate keys of the schema and
+// integers past their type's range, both of which serde_json resolves
+// silently (the first key wins; the number saturates through `f64`).
 
 /// Deepest container nesting a frame may contain, the outermost object
 /// being depth 1 (the workspace JSON parser's limit, and `serde_json`'s).
@@ -863,337 +862,73 @@ fn missing(key: &'static str) -> FrameError {
     FrameError::Malformed(format!("missing key `{key}`"))
 }
 
-/// A number token, classified.
-enum Number {
-    /// Digits only, with an optional minus sign; `None` on `u64` overflow.
-    Int { negative: bool, value: Option<u64> },
-    /// Anything with a fraction or an exponent.
-    Float(f64),
+impl From<LexError> for FrameError {
+    #[inline]
+    fn from(e: LexError) -> Self {
+        match e {
+            LexError::Syntax(m) => FrameError::Malformed(m),
+            LexError::InvalidUtf8 { at } => FrameError::InvalidUtf8 { at },
+            LexError::TooDeep => FrameError::TooDeep,
+        }
+    }
 }
 
-/// A cursor over one frame. Readers of a value start on its first byte;
-/// whitespace is skipped by the container that holds it.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Reads the frame's one top-level object with `read`, then requires the
+/// end of the frame.
+fn read_frame(frame: &[u8], read: impl FnOnce(&mut Cursor<'_>) -> Decoded<()>) -> Decoded<()> {
+    let mut r = Cursor::new(frame);
+    r.ws();
+    if r.peek() != Some(b'{') {
+        return Err(r.syntax("a JSON object").into());
+    }
+    read(&mut r)?;
+    Ok(r.end()?)
 }
 
-impl<'a> Reader<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
+/// The message schema, read straight off the [`Cursor`]. Each reader
+/// starts on its value's first byte.
+trait Schema: Sized {
+    fn u64(&mut self, key: &'static str) -> Decoded<u64>;
+    fn u32(&mut self, key: &'static str) -> Decoded<u32>;
+    fn usize(&mut self, key: &'static str) -> Decoded<usize>;
+    fn i64(&mut self, key: &'static str) -> Decoded<i64>;
+    fn nullable<T>(&mut self, read: impl FnOnce(&mut Self) -> Decoded<T>) -> Decoded<Option<T>>;
+    fn bool(&mut self, key: &'static str) -> Decoded<bool>;
+    fn owned_string(&mut self, key: &'static str) -> Decoded<String>;
+    fn list<T>(
+        &mut self,
+        key: &'static str,
+        item: impl FnMut(&mut Self) -> Decoded<T>,
+    ) -> Decoded<Vec<T>>;
+    fn u64s<const N: usize>(&mut self, key: &'static str) -> Decoded<[u64; N]>;
+    fn slot<T>(&mut self, read: impl FnOnce(&mut Self) -> Decoded<T>) -> Decoded<Slot<T>>;
+    fn kind(&mut self) -> Decoded<Kind>;
+    fn fields(
+        &mut self,
+        names: &[&'static str],
+        required: usize,
+        depth: usize,
+        read: impl FnMut(&mut Self, &'static str) -> Decoded<()>,
+    ) -> Decoded<()>;
+    fn trace(&mut self) -> Decoded<Option<TraceContext>>;
+    fn timing(&mut self) -> Decoded<Option<ServerTiming>>;
+    fn record(
+        &mut self,
+        key: &'static str,
+        names: &[&'static str],
+        depth: usize,
+        read: impl FnMut(&mut Self, &'static str) -> Decoded<()>,
+    ) -> Decoded<()>;
+    fn point(&mut self) -> Decoded<ReachPoint>;
+    fn cache_stats(&mut self) -> Decoded<CacheStats>;
+    fn registry(&mut self) -> Decoded<RegistrySnapshot>;
+    fn counter_snapshot(&mut self, list: &'static str) -> Decoded<CounterSnapshot>;
+    fn gauge_snapshot(&mut self, list: &'static str) -> Decoded<GaugeSnapshot>;
+    fn histogram_snapshot(&mut self, list: &'static str) -> Decoded<HistogramSnapshot>;
+    fn bucket(&mut self, list: &'static str) -> Decoded<BucketCount>;
+}
 
-    fn ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
-            self.pos += 1;
-        }
-    }
-
-    /// Consumes `byte` if it comes next.
-    fn eat(&mut self, byte: u8) -> bool {
-        let hit = self.peek() == Some(byte);
-        self.pos += usize::from(hit);
-        hit
-    }
-
-    /// Consumes `word` if it comes next.
-    fn literal(&mut self, word: &[u8]) -> bool {
-        let hit = self.bytes[self.pos..].starts_with(word);
-        if hit {
-            self.pos += word.len();
-        }
-        hit
-    }
-
-    fn syntax(&self, expected: &str) -> FrameError {
-        FrameError::Malformed(match self.peek() {
-            Some(b) => format!("expected {expected} at byte {}, found {:?}", self.pos, b as char),
-            None => format!("expected {expected} at byte {}, found end of frame", self.pos),
-        })
-    }
-
-    fn require(&mut self, byte: u8, what: &str) -> Decoded<()> {
-        if self.eat(byte) {
-            Ok(())
-        } else {
-            Err(self.syntax(what))
-        }
-    }
-
-    /// Reads the frame's one top-level object with `read`, then requires
-    /// the end of the frame.
-    fn frame(&mut self, read: impl FnOnce(&mut Self) -> Decoded<()>) -> Decoded<()> {
-        self.ws();
-        if self.peek() != Some(b'{') {
-            return Err(self.syntax("a JSON object"));
-        }
-        read(self)?;
-        self.ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(self.syntax("end of frame"))
-        }
-    }
-
-    /// Reads an object, handing each key to `field`, which must consume
-    /// the key's value.
-    fn object(&mut self, mut field: impl FnMut(&mut Self, &[u8]) -> Decoded<()>) -> Decoded<()> {
-        self.require(b'{', "`{`")?;
-        self.ws();
-        if self.eat(b'}') {
-            return Ok(());
-        }
-        loop {
-            let key = self.key()?;
-            field(self, key.as_bytes())?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                    self.ws();
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.syntax("`,` or `}`")),
-            }
-        }
-    }
-
-    /// Reads `"key" :` and the whitespace after it.
-    fn key(&mut self) -> Decoded<Cow<'a, str>> {
-        if self.peek() != Some(b'"') {
-            return Err(self.syntax("a key"));
-        }
-        let key = self.string()?;
-        self.ws();
-        self.require(b':', "`:`")?;
-        self.ws();
-        Ok(key)
-    }
-
-    /// Reads an array, handing each element to `item`, which must consume
-    /// it.
-    fn array(&mut self, mut item: impl FnMut(&mut Self) -> Decoded<()>) -> Decoded<()> {
-        self.require(b'[', "`[`")?;
-        self.ws();
-        if self.eat(b']') {
-            return Ok(());
-        }
-        loop {
-            item(self)?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                    self.ws();
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.syntax("`,` or `]`")),
-            }
-        }
-    }
-
-    /// Reads a string, borrowed from the frame unless it holds escapes.
-    /// Plain runs are validated as UTF-8 and copied whole, so a string
-    /// costs O(its length).
-    fn string(&mut self) -> Decoded<Cow<'a, str>> {
-        let bytes: &'a [u8] = self.bytes;
-        self.pos += 1; // the opening quote
-        let mut owned: Option<String> = None;
-        loop {
-            let rest = &bytes[self.pos..];
-            let Some(end) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
-                return Err(FrameError::Malformed("unterminated string".into()));
-            };
-            let run = std::str::from_utf8(&rest[..end])
-                .map_err(|e| FrameError::InvalidUtf8 { at: self.pos + e.valid_up_to() })?;
-            self.pos += end + 1;
-            if rest[end] == b'"' {
-                return Ok(match owned {
-                    None => Cow::Borrowed(run),
-                    Some(mut s) => {
-                        s.push_str(run);
-                        Cow::Owned(s)
-                    }
-                });
-            }
-            let s = owned.get_or_insert_with(String::new);
-            s.push_str(run);
-            self.escape(s)?;
-        }
-    }
-
-    /// Decodes the escape after a backslash into `out`.
-    fn escape(&mut self, out: &mut String) -> Decoded<()> {
-        let at = self.pos - 1;
-        let Some(c) = self.peek() else { return Err(self.syntax("an escape")) };
-        self.pos += 1;
-        out.push(match c {
-            b'"' => '"',
-            b'\\' => '\\',
-            b'/' => '/',
-            b'n' => '\n',
-            b'r' => '\r',
-            b't' => '\t',
-            b'b' => '\u{08}',
-            b'f' => '\u{0c}',
-            b'u' => {
-                let unit = u32::from(self.hex4()?);
-                let code = if (0xD800..0xDC00).contains(&unit) {
-                    // A high surrogate: its low half must follow.
-                    if !self.literal(b"\\u") {
-                        return Err(FrameError::InvalidUtf8 { at });
-                    }
-                    let low = u32::from(self.hex4()?);
-                    if !(0xDC00..0xE000).contains(&low) {
-                        return Err(FrameError::InvalidUtf8 { at });
-                    }
-                    0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
-                } else {
-                    unit
-                };
-                char::from_u32(code).ok_or(FrameError::InvalidUtf8 { at })?
-            }
-            _ => {
-                self.pos -= 1;
-                return Err(self.syntax("an escape"));
-            }
-        });
-        Ok(())
-    }
-
-    /// The four hex digits of a `\u` escape, read with the same
-    /// `from_str_radix` call as the vendored serde_json parser.
-    fn hex4(&mut self) -> Decoded<u16> {
-        let unit = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .and_then(|digits| std::str::from_utf8(digits).ok())
-            .and_then(|digits| u16::from_str_radix(digits, 16).ok())
-            .ok_or_else(|| self.syntax("four hex digits"))?;
-        self.pos += 4;
-        Ok(unit)
-    }
-
-    /// Scans a number token with serde_json's grammar: an optional minus,
-    /// digits, an optional fraction and an optional exponent, valid when it
-    /// is an integer or parses as an `f64`.
-    fn number(&mut self) -> Decoded<Number> {
-        let start = self.pos;
-        let negative = self.eat(b'-');
-        let mut value = Some(0u64);
-        let digits_from = self.pos;
-        while let Some(b @ b'0'..=b'9') = self.peek() {
-            value = value.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(b - b'0')));
-            self.pos += 1;
-        }
-        let digits = self.pos - digits_from;
-        let mut integral = true;
-        if self.eat(b'.') {
-            integral = false;
-            self.digits();
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            integral = false;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            self.digits();
-        }
-        if integral && digits > 0 {
-            return Ok(Number::Int { negative, value });
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
-        text.parse::<f64>()
-            .map(Number::Float)
-            .map_err(|_| FrameError::Malformed(format!("invalid number `{text}` at byte {start}")))
-    }
-
-    fn digits(&mut self) {
-        while let Some(b'0'..=b'9') = self.peek() {
-            self.pos += 1;
-        }
-    }
-
-    /// Skips one value of any type, validating it as strictly as the typed
-    /// readers do. Iterative: `depth` counts the containers already open
-    /// around the value, and opening one past [`MAX_DEPTH`] is an error.
-    fn skip_value(&mut self, depth: usize) -> Decoded<()> {
-        // Bit `k` says whether the `k`-th container opened here is an
-        // object; MAX_DEPTH ≤ 128 keeps the whole stack in one word.
-        let mut objects: u128 = 0;
-        let mut open = 0usize;
-        loop {
-            match self.peek() {
-                Some(c @ (b'{' | b'[')) => {
-                    if depth + open >= MAX_DEPTH {
-                        return Err(FrameError::TooDeep);
-                    }
-                    self.pos += 1;
-                    self.ws();
-                    let object = c == b'{';
-                    if object {
-                        objects |= 1 << open;
-                    } else {
-                        objects &= !(1 << open);
-                    }
-                    if !self.eat(if object { b'}' } else { b']' }) {
-                        open += 1;
-                        if object {
-                            self.key()?;
-                        }
-                        continue;
-                    }
-                }
-                Some(b'"') => {
-                    self.string()?;
-                }
-                Some(b'-' | b'0'..=b'9') => {
-                    self.number()?;
-                }
-                _ => {
-                    if !(self.literal(b"null") || self.literal(b"true") || self.literal(b"false")) {
-                        return Err(self.syntax("a value"));
-                    }
-                }
-            }
-            // A value ended: close containers until one has a next member.
-            loop {
-                if open == 0 {
-                    return Ok(());
-                }
-                self.ws();
-                let object = objects >> (open - 1) & 1 == 1;
-                match self.peek() {
-                    Some(b',') => {
-                        self.pos += 1;
-                        self.ws();
-                        if object {
-                            self.key()?;
-                        }
-                        break;
-                    }
-                    Some(b'}') if object => {
-                        self.pos += 1;
-                        open -= 1;
-                    }
-                    Some(b']') if !object => {
-                        self.pos += 1;
-                        open -= 1;
-                    }
-                    _ => return Err(self.syntax(if object { "`,` or `}`" } else { "`,` or `]`" })),
-                }
-            }
-        }
-    }
-
+impl Schema for Cursor<'_> {
     /// Reads a whole non-negative number for `key`: serde_json's forms
     /// (`7`, `-0`, `7.0`, `7e0`), refusing anything past `u64::MAX`.
     fn u64(&mut self, key: &'static str) -> Decoded<u64> {
@@ -1224,7 +959,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a whole number for `key` in `i64`'s range, in the same forms
-    /// as [`Reader::u64`] plus a sign.
+    /// as [`Schema::u64`] plus a sign.
     fn i64(&mut self, key: &'static str) -> Decoded<i64> {
         if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
             return Err(wrong(key, "an integer"));
@@ -1282,7 +1017,7 @@ impl<'a> Reader<'a> {
             return Err(wrong(key, "an array"));
         }
         let mut items = Vec::new();
-        self.array(|r| {
+        self.array(|r| -> Decoded<()> {
             items.push(item(r)?);
             Ok(())
         })?;
@@ -1302,11 +1037,11 @@ impl<'a> Reader<'a> {
     /// field matters; the value is then validated as JSON, so a syntax
     /// error still refuses the frame.
     fn slot<T>(&mut self, read: impl FnOnce(&mut Self) -> Decoded<T>) -> Decoded<Slot<T>> {
-        let start = self.pos;
+        let start = *self;
         match read(self) {
             Ok(value) => Ok(Some(Ok(value))),
             Err(e) => {
-                self.pos = start;
+                *self = start;
                 self.skip_value(1)?;
                 Ok(Some(Err(e)))
             }
@@ -1344,8 +1079,8 @@ impl<'a> Reader<'a> {
     ) -> Decoded<()> {
         let mut seen = 0u32;
         self.object(|r, key| {
-            let Some(k) = names.iter().position(|name| name.as_bytes() == key) else {
-                return r.skip_value(depth);
+            let Some(k) = names.iter().position(|name| *name == key) else {
+                return Ok(r.skip_value(depth)?);
             };
             if seen & 1 << k != 0 {
                 return Err(FrameError::DuplicateKey(names[k]));
@@ -1378,7 +1113,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads an object at `depth` that is an element of the array under
-    /// `key`, with every one of `names` required (see [`Reader::fields`]).
+    /// `key`, with every one of `names` required (see [`Schema::fields`]).
     fn record(
         &mut self,
         key: &'static str,
@@ -1538,8 +1273,7 @@ const REQUEST_KEYS: [&str; 10] = [
 
 fn read_request(frame: &[u8]) -> Decoded<ReachRequest> {
     let mut request = ReachRequest::scalar(Vec::new(), Vec::new());
-    let mut r = Reader { bytes: frame, pos: 0 };
-    r.frame(|r| {
+    read_frame(frame, |r| {
         r.fields(&REQUEST_KEYS, 3, 1, |r, key| {
             match key {
                 "v" => request.v = r.u32(key)?,
@@ -1614,8 +1348,7 @@ pub fn decode_response_frame(frame: &[u8]) -> Result<ResponseFrame, FrameError> 
     let mut values: Slot<Vec<Vec<u64>>> = None;
     let mut stats: Slot<CacheStats> = None;
     let mut registry: Slot<RegistrySnapshot> = None;
-    let mut r = Reader { bytes: frame, pos: 0 };
-    r.frame(|r| {
+    read_frame(frame, |r| {
         r.fields(&RESPONSE_KEYS, 0, 1, |r, key| {
             match key {
                 "id" => id = r.nullable(|r| r.u64(key))?,
@@ -1626,9 +1359,9 @@ pub fn decode_response_frame(frame: &[u8]) -> Result<ResponseFrame, FrameError> 
                 "too_narrow_warning" => too_narrow_warning = r.slot(|r| r.bool(key))?,
                 "retry_after_ms" => retry_after_ms = r.slot(|r| r.u64(key))?,
                 "message" => message = r.slot(|r| r.owned_string(key))?,
-                "reaches" => reaches = r.slot(|r| r.list(key, Reader::point))?,
-                "stats" => stats = r.slot(Reader::cache_stats)?,
-                "registry" => registry = r.slot(Reader::registry)?,
+                "reaches" => reaches = r.slot(|r| r.list(key, Cursor::point))?,
+                "stats" => stats = r.slot(Cursor::cache_stats)?,
+                "registry" => registry = r.slot(Cursor::registry)?,
                 "generation" => generation = r.slot(|r| r.u64(key))?,
                 "chunks" => chunks = r.slot(|r| r.list(key, |r| r.u32(key)))?,
                 _ => values = r.slot(|r| r.list(key, |r| r.list(key, |r| r.u64(key))))?,

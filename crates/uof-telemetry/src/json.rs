@@ -10,13 +10,14 @@
 //! with `\"`, `\\`, `\n`, `\r`, `\t`, `\b`, `\f` and `\u00xx` for the other
 //! control characters, everything else — non-ASCII included — raw.
 //!
-//! The parser builds a [`Value`] tree that keeps object members in source
-//! order and numbers as their raw text, so `emit(parse(text)) == text` for
-//! canonical input. It follows the JSON grammar exactly (no leading zeros,
-//! digits required after `.` and an exponent marker, exactly four hex
-//! digits in a `\u` escape) and refuses nesting deeper than [`MAX_DEPTH`]
-//! with an error, so no single line can overflow the stack.
+//! Everything production code reads as JSON goes through one lexer, the
+//! zero-copy [`Cursor`] (JSON's exact grammar, nesting capped at
+//! [`MAX_DEPTH`]): the reach-api frame decoder reads its schema straight
+//! off it, and [`parse`] builds a [`Value`] tree on it that keeps object
+//! members in source order and numbers as their raw text, so
+//! `emit(parse(text)) == text` for canonical input.
 
+use std::borrow::Cow;
 use std::io::Write as _;
 
 /// Deepest container nesting the parser (and the reach-api frame decoder)
@@ -242,240 +243,474 @@ pub fn parse_lenient(text: &str) -> Result<Value, String> {
 }
 
 fn parse_with(text: &str, fractions: bool) -> Result<Value, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0, fractions };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
+    let mut c = Cursor::new(text.as_bytes());
+    c.ws();
+    let value = build(&mut c, text, 0, fractions).map_err(|e| e.to_string())?;
+    c.end().map_err(|e| e.to_string())?;
     Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Containers currently open around `pos`.
-    depth: usize,
-    /// Whether numbers may carry a fraction or an exponent.
-    fractions: bool,
+/// Builds the value under the cursor, which sits inside `depth` open
+/// containers.
+fn build(c: &mut Cursor<'_>, text: &str, depth: usize, fractions: bool) -> Result<Value, LexError> {
+    match c.peek() {
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(LexError::TooDeep),
+        Some(b'{') => {
+            let mut members = Vec::new();
+            c.object(|c, key| -> Result<(), LexError> {
+                members.push((key.to_string(), build(c, text, depth + 1, fractions)?));
+                Ok(())
+            })?;
+            Ok(Value::Obj(members))
+        }
+        Some(b'[') => {
+            let mut items = Vec::new();
+            c.array(|c| -> Result<(), LexError> {
+                items.push(build(c, text, depth + 1, fractions)?);
+                Ok(())
+            })?;
+            Ok(Value::Arr(items))
+        }
+        Some(b'"') => Ok(Value::Str(c.string()?.into_owned())),
+        Some(b'-' | b'0'..=b'9') => {
+            let start = c.pos;
+            // The lint report is integer-only; reject fractions so a
+            // malformed document cannot silently round-trip differently.
+            if let (Number::Float(_), false) = (c.number()?, fractions) {
+                return Err(LexError::Syntax(format!("non-integer number at byte {start}")));
+            }
+            // A number token is ASCII, so both ends are character boundaries.
+            Ok(Value::Num(text[start..c.pos].to_string()))
+        }
+        _ if c.literal(b"null") => Ok(Value::Null),
+        _ if c.literal(b"true") => Ok(Value::Bool(true)),
+        _ if c.literal(b"false") => Ok(Value::Bool(false)),
+        _ => Err(c.syntax("a value")),
+    }
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
+/// Why a [`Cursor`] refused its input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LexError {
+    /// Not JSON: what was expected, and at which byte.
+    Syntax(String),
+    /// A string holds raw bytes that are not UTF-8, or a `\u` escape that
+    /// names a lone surrogate.
+    InvalidUtf8 {
+        /// Byte offset of the offending sequence.
+        at: usize,
+    },
+    /// Containers nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
+impl std::fmt::Display for LexError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LexError::Syntax(m) => f.write_str(m),
+            LexError::InvalidUtf8 { at } => {
+                write!(f, "invalid UTF-8 or lone surrogate at byte {at}")
+            }
+            LexError::TooDeep => write!(f, "nesting deeper than {MAX_DEPTH}"),
+        }
+    }
+}
+
+impl std::error::Error for LexError {}
+
+/// A number token, classified.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Number {
+    /// Digits only, with an optional minus sign.
+    Int {
+        /// Whether a minus sign came first (`-0` included).
+        negative: bool,
+        /// The digits' value; `None` past `u64::MAX`.
+        value: Option<u64>,
+    },
+    /// A number with a fraction or an exponent.
+    Float(f64),
+}
+
+/// A zero-copy cursor over one JSON text: the workspace's one JSON lexer.
+///
+/// It follows JSON's grammar exactly: no leading zeros, digits required
+/// after `-`, `.` and an exponent marker, exactly four hex digits in a `\u`
+/// escape, no raw control characters in strings, surrogate pairs joined and
+/// lone surrogates refused. Readers of a value start on its first byte;
+/// whitespace is skipped by the container that holds it. Strings are
+/// borrowed from the input unless they hold escapes, and plain runs are
+/// validated and copied whole, so a string costs O(its length).
+///
+/// [`parse`] builds a [`Value`] tree on it; the reach-api frame decoder
+/// reads its schema straight off it.
+#[derive(Debug, Clone, Copy)]
+pub struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `bytes`.
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, pos: 0 }
+    }
+
+    /// The next byte, if any.
+    #[inline]
+    pub fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+    /// Skips JSON whitespace.
+    #[inline]
+    pub fn ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
             self.pos += 1;
         }
     }
 
-    fn eat(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
+    /// Consumes `byte` if it comes next.
+    #[inline]
+    pub fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.peek() == Some(byte);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Consumes `word` if it comes next.
+    #[inline]
+    pub fn literal(&mut self, word: &[u8]) -> bool {
+        let hit = self.bytes[self.pos..].starts_with(word);
+        if hit {
+            self.pos += word.len();
+        }
+        hit
+    }
+
+    /// A syntax error: `expected` was expected at the cursor.
+    #[inline]
+    pub fn syntax(&self, expected: &str) -> LexError {
+        LexError::Syntax(match self.peek() {
+            Some(b) => format!("expected {expected} at byte {}, found {:?}", self.pos, b as char),
+            None => format!("expected {expected} at byte {}, found end of input", self.pos),
+        })
+    }
+
+    #[inline]
+    fn require(&mut self, byte: u8, what: &str) -> Result<(), LexError> {
+        if self.eat(byte) {
             Ok(())
         } else {
-            Err(format!("expected `{}` at byte {}", byte as char, self.pos))
+            Err(self.syntax(what))
         }
     }
 
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
+    /// Skips trailing whitespace and requires the end of the input.
+    #[inline]
+    pub fn end(&mut self) -> Result<(), LexError> {
+        self.ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
         } else {
-            Err(format!("invalid literal at byte {}", self.pos))
+            Err(self.syntax("end of input"))
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected byte at {}", self.pos)),
-        }
-    }
-
-    /// Enters a container, refusing to nest past [`MAX_DEPTH`].
-    fn descend(&mut self) -> Result<(), String> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
-        }
-        Ok(())
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.descend()?;
-        self.eat(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Obj(members));
+    /// Reads an object, handing each key to `field`, which must consume
+    /// the key's value.
+    pub fn object<E: From<LexError>>(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.require(b'{', "`{`")?;
+        self.ws();
+        if self.eat(b'}') {
+            return Ok(());
         }
         loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
+            let key = self.key()?;
+            field(self, &key)?;
+            self.ws();
             match self.peek() {
-                Some(b',') => self.pos += 1,
+                Some(b',') => {
+                    self.pos += 1;
+                    self.ws();
+                }
                 Some(b'}') => {
                     self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Obj(members));
+                    return Ok(());
                 }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+                _ => return Err(self.syntax("`,` or `}`").into()),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
-        self.descend()?;
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Arr(items));
+    /// Reads `"key" :` and the whitespace after it.
+    #[inline]
+    fn key(&mut self) -> Result<Cow<'a, str>, LexError> {
+        if self.peek() != Some(b'"') {
+            return Err(self.syntax("a key"));
+        }
+        let key = self.string()?;
+        self.ws();
+        self.require(b':', "`:`")?;
+        self.ws();
+        Ok(key)
+    }
+
+    /// Reads an array, handing each element to `item`, which must consume
+    /// it.
+    pub fn array<E: From<LexError>>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.require(b'[', "`[`")?;
+        self.ws();
+        if self.eat(b']') {
+            return Ok(());
         }
         loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
+            item(self)?;
+            self.ws();
             match self.peek() {
-                Some(b',') => self.pos += 1,
+                Some(b',') => {
+                    self.pos += 1;
+                    self.ws();
+                }
                 Some(b']') => {
                     self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Arr(items));
+                    return Ok(());
                 }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
+                _ => return Err(self.syntax("`,` or `]`").into()),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
+    /// Reads a string, borrowed from the input unless it holds escapes.
+    #[inline]
+    pub fn string(&mut self) -> Result<Cow<'a, str>, LexError> {
+        let bytes: &'a [u8] = self.bytes;
+        self.require(b'"', "a string")?;
+        let mut owned: Option<String> = None;
         loop {
-            let start = self.pos;
-            // Consume a run of plain bytes in one slice for UTF-8 safety.
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' || c < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| format!("invalid UTF-8 at byte {start}"))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
+            let rest = &bytes[self.pos..];
+            let Some(end) = rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20) else {
+                return Err(LexError::Syntax("unterminated string".into()));
+            };
+            let run = std::str::from_utf8(&rest[..end])
+                .map_err(|e| LexError::InvalidUtf8 { at: self.pos + e.valid_up_to() })?;
+            self.pos += end;
+            match rest[end] {
+                b'"' => {
                     self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let at = self.pos;
-                            let hex = self
-                                .bytes
-                                .get(at..at + 4)
-                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                                .ok_or(format!("bad \\u escape at byte {at}"))?;
-                            let code = hex.iter().fold(0, |code, &h| {
-                                code << 4 | char::from(h).to_digit(16).unwrap_or(0)
-                            });
-                            self.pos += 4;
-                            // Surrogates are not emitted by our writer;
-                            // reject rather than mis-decode.
-                            let c = char::from_u32(code)
-                                .ok_or(format!("surrogate \\u escape at byte {at}"))?;
-                            out.push(c);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
                         }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
+                    });
                 }
-                _ => return Err(format!("unterminated string at byte {}", self.pos)),
+                b'\\' => {
+                    self.pos += 1;
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(run);
+                    self.escape(s)?;
+                }
+                _ => {
+                    let at = self.pos;
+                    return Err(LexError::Syntax(format!(
+                        "control character in string at byte {at}"
+                    )));
+                }
             }
         }
     }
 
-    /// Consumes one or more digits, or fails naming `what`.
-    fn digits(&mut self, start: usize, what: &str) -> Result<(), String> {
-        let from = self.pos;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+    /// Decodes the escape after a backslash into `out`.
+    #[inline]
+    fn escape(&mut self, out: &mut String) -> Result<(), LexError> {
+        let at = self.pos - 1;
+        let Some(c) = self.peek() else { return Err(self.syntax("an escape")) };
+        self.pos += 1;
+        out.push(match c {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{08}',
+            b'f' => '\u{0c}',
+            b'u' => {
+                let unit = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&unit) {
+                    // A high surrogate: its low half must follow.
+                    if !self.literal(b"\\u") {
+                        return Err(LexError::InvalidUtf8 { at });
+                    }
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(LexError::InvalidUtf8 { at });
+                    }
+                    0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+                } else {
+                    unit
+                };
+                char::from_u32(code).ok_or(LexError::InvalidUtf8 { at })?
+            }
+            _ => {
+                self.pos -= 1;
+                return Err(self.syntax("an escape"));
+            }
+        });
+        Ok(())
+    }
+
+    /// The four hex digits of a `\u` escape.
+    #[inline]
+    fn hex4(&mut self) -> Result<u32, LexError> {
+        let mut unit = 0;
+        for _ in 0..4 {
+            let digit = self.peek().and_then(|b| char::from(b).to_digit(16));
+            let Some(digit) = digit else { return Err(self.syntax("four hex digits")) };
+            unit = unit << 4 | digit;
             self.pos += 1;
         }
-        if self.pos == from {
-            return Err(format!("number at byte {start} needs digits {what}"));
+        Ok(unit)
+    }
+
+    /// Reads a number token: `-? (0 | [1-9][0-9]*) (\.[0-9]+)?
+    /// ([eE][+-]?[0-9]+)?`.
+    #[inline]
+    pub fn number(&mut self) -> Result<Number, LexError> {
+        let start = self.pos;
+        let negative = self.eat(b'-');
+        let mut value = Some(0u64);
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if let Some(b'0'..=b'9') = self.peek() {
+                    return Err(LexError::Syntax(format!(
+                        "leading zero in number at byte {start}"
+                    )));
+                }
+            }
+            Some(b'1'..=b'9') => {
+                while let Some(b @ b'0'..=b'9') = self.peek() {
+                    value = value.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(b - b'0')));
+                    self.pos += 1;
+                }
+            }
+            _ => return Err(self.syntax("a digit")),
+        }
+        let mut integral = true;
+        if self.eat(b'.') {
+            integral = false;
+            self.digits()?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            integral = false;
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
+        }
+        if integral {
+            return Ok(Number::Int { negative, value });
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        text.parse::<f64>()
+            .map(Number::Float)
+            .map_err(|_| LexError::Syntax(format!("invalid number `{text}` at byte {start}")))
+    }
+
+    /// Consumes one or more digits.
+    #[inline]
+    fn digits(&mut self) -> Result<(), LexError> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.syntax("a digit"));
+        }
+        while let Some(b'0'..=b'9') = self.peek() {
+            self.pos += 1;
         }
         Ok(())
     }
 
-    /// A number with JSON's grammar: `-? (0 | [1-9][0-9]*)`, then, when
-    /// fractions are allowed, `(\.[0-9]+)? ([eE][+-]?[0-9]+)?`.
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'0') {
-            self.pos += 1;
-            if self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                return Err(format!("leading zero in number at byte {start}"));
-            }
-        } else {
-            self.digits(start, "in its integer part")?;
-        }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            // The lint report is integer-only; reject fractions so a
-            // malformed document cannot silently round-trip differently.
-            if !self.fractions {
-                return Err(format!("non-integer number at byte {start}"));
-            }
-            if self.peek() == Some(b'.') {
-                self.pos += 1;
-                self.digits(start, "after `.`")?;
-            }
-            if matches!(self.peek(), Some(b'e' | b'E')) {
-                self.pos += 1;
-                if matches!(self.peek(), Some(b'+' | b'-')) {
+    /// Skips one value of any type, validating it as strictly as the
+    /// readers above. Iterative: `depth` counts the containers already open
+    /// around the value, and opening one past [`MAX_DEPTH`] is an error.
+    #[inline]
+    pub fn skip_value(&mut self, depth: usize) -> Result<(), LexError> {
+        // Bit `k` says whether the `k`-th container opened here is an
+        // object; MAX_DEPTH ≤ 128 keeps the whole stack in one word.
+        let mut objects: u128 = 0;
+        let mut open = 0usize;
+        loop {
+            match self.peek() {
+                Some(c @ (b'{' | b'[')) => {
+                    if depth + open >= MAX_DEPTH {
+                        return Err(LexError::TooDeep);
+                    }
                     self.pos += 1;
+                    self.ws();
+                    let object = c == b'{';
+                    if object {
+                        objects |= 1 << open;
+                    } else {
+                        objects &= !(1 << open);
+                    }
+                    if !self.eat(if object { b'}' } else { b']' }) {
+                        open += 1;
+                        if object {
+                            self.key()?;
+                        }
+                        continue;
+                    }
                 }
-                self.digits(start, "in its exponent")?;
+                Some(b'"') => {
+                    self.string()?;
+                }
+                Some(b'-' | b'0'..=b'9') => {
+                    self.number()?;
+                }
+                _ => {
+                    if !(self.literal(b"null") || self.literal(b"true") || self.literal(b"false")) {
+                        return Err(self.syntax("a value"));
+                    }
+                }
+            }
+            // A value ended: close containers until one has a next member.
+            loop {
+                if open == 0 {
+                    return Ok(());
+                }
+                self.ws();
+                let object = objects >> (open - 1) & 1 == 1;
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        self.ws();
+                        if object {
+                            self.key()?;
+                        }
+                        break;
+                    }
+                    Some(b'}') if object => {
+                        self.pos += 1;
+                        open -= 1;
+                    }
+                    Some(b']') if !object => {
+                        self.pos += 1;
+                        open -= 1;
+                    }
+                    _ => return Err(self.syntax(if object { "`,` or `}`" } else { "`,` or `]`" })),
+                }
             }
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-UTF-8 number".to_string())?;
-        Ok(Value::Num(raw.to_string()))
     }
 }
 
@@ -571,6 +806,51 @@ mod tests {
             assert!(parse_lenient(bad).is_err(), "{bad}");
         }
         assert_eq!(parse(r#""\u0041\u00e9""#).expect("parses"), Value::Str("Aé".into()));
+        // Leading zeros, a bare sign or point, and raw control characters.
+        for bad in ["[007]", "-.5", "7.", "{\"v\":1.}", "\"a\u{1}b\"", "\"\t\""] {
+            assert!(parse_lenient(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_join_and_lone_surrogates_are_refused() {
+        assert_eq!(parse(r#""\ud83d\ude00""#).expect("a pair"), Value::Str("😀".into()));
+        assert_eq!(parse(r#""\uD83D\uDE00x""#).expect("a pair"), Value::Str("😀x".into()));
+        for lone in [r#""\ud800""#, r#""\udc00""#, r#""\ud800\u0041""#, r#""\ud800x""#] {
+            let err = parse(lone).expect_err(lone);
+            assert!(err.contains("lone surrogate at byte 1"), "{lone}: {err}");
+        }
+    }
+
+    #[test]
+    fn cursor_borrows_plain_strings_and_classifies_numbers() {
+        let mut c = Cursor::new(br#""plain" "esc\n" 7 -0 18446744073709551616 7.0 -2e3"#);
+        assert!(matches!(c.string(), Ok(Cow::Borrowed("plain"))));
+        c.ws();
+        assert!(matches!(c.string(), Ok(Cow::Owned(s)) if s == "esc\n"));
+        let mut numbers = Vec::new();
+        while c.peek().is_some() {
+            c.ws();
+            numbers.push(c.number().expect("a number"));
+        }
+        assert_eq!(
+            numbers,
+            [
+                Number::Int { negative: false, value: Some(7) },
+                Number::Int { negative: true, value: Some(0) },
+                Number::Int { negative: false, value: None },
+                Number::Float(7.0),
+                Number::Float(-2000.0),
+            ]
+        );
+        let mut c = Cursor::new(b"[1,{\"a\":[]}] x");
+        c.skip_value(MAX_DEPTH - 3).expect("three levels fit");
+        assert_eq!(
+            c.end(),
+            Err(LexError::Syntax("expected end of input at byte 13, found 'x'".into()))
+        );
+        let mut c = Cursor::new(b"[[]]");
+        assert_eq!(c.skip_value(MAX_DEPTH - 1), Err(LexError::TooDeep));
     }
 
     #[test]

@@ -262,7 +262,7 @@ pub fn analyze_source(source: &str, class: FileClass) -> Vec<Violation> {
         }
     }
 
-    findings.sort_by(|a, b| (a.line, a.col, a.rule.order()).cmp(&(b.line, b.col, b.rule.order())));
+    findings.sort_by_key(|f| (f.line, f.col, f.rule.order()));
     findings
 }
 

@@ -187,7 +187,7 @@ impl Analysis {
 
 /// Reconstructs trace trees and fan-outs from parsed spans.
 pub fn analyze(mut spans: Vec<SpanRec>) -> Analysis {
-    spans.sort_by(|a, b| (a.trace_id, a.start_ns, a.seq).cmp(&(b.trace_id, b.start_ns, b.seq)));
+    spans.sort_by_key(|s| (s.trace_id, s.start_ns, s.seq));
     let identityless = spans.iter().filter(|s| s.trace_id == 0).count();
 
     let mut by_trace: BTreeMap<u64, Vec<usize>> = BTreeMap::new();

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local verification gate — what CI and ROADMAP.md's tier-1 check run.
 #
-#   scripts/check.sh          # fmt check + lint + release builds + tests
+#   scripts/check.sh          # fmt + clippy + lint + release builds + tests
 #
 # The workspace's `default-members` are the root package and every crate,
 # so the root `cargo test` runs every workspace suite: the reach kernel
@@ -26,6 +26,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> cargo clippy (every workspace target, warnings are errors)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> xtask lint"
 cargo run -q -p xtask -- lint

@@ -93,7 +93,7 @@ proptest! {
         let world = world();
         let analyzer = analyzer();
         let api = AdsManagerApi::new(world, ReportingEra::Post2018);
-        let gender = use_gender.then(|| if male { Gender::Male } else { Gender::Female });
+        let gender = use_gender.then_some(if male { Gender::Male } else { Gender::Female });
         let hi = lo.saturating_add(span).min(65);
         let builder = stage(worldwide, &country_seeds, &interest_seeds, gender, Some((lo, hi)));
         let spec = builder.build().expect("staged spec is valid by construction");
