@@ -21,8 +21,8 @@ use reach_cache::CacheStats;
 use uof_telemetry::{RegistrySnapshot, SpanGuard, Telemetry, TraceContext};
 
 use crate::proto::{
-    append_request_frame, decode_response_frame, FrameCodec, FrameError, ReachRequest,
-    ReachResponse, ResponseFrame, ServerTiming,
+    append_request_frame, decode_answer_frame, Answer, FrameCodec, FrameError, ReachPoint,
+    ReachRequest, ReachResponse, ResponseFrame, ServerTiming, ShardPartials,
 };
 use crate::server::MAX_RETRY_BACKOFF;
 
@@ -112,27 +112,8 @@ impl From<FrameError> for ClientError {
     }
 }
 
-/// A reported reach, as seen by the client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClientReach {
-    /// Reported potential reach.
-    pub reported: u64,
-    /// Whether the value was floored.
-    pub floored: bool,
-    /// Whether the narrow-audience advisory applies.
-    pub too_narrow_warning: bool,
-}
-
-/// A shard backend's raw per-chunk partials, as seen by the router.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPartials {
-    /// World generation the partials were computed under.
-    pub generation: u64,
-    /// Global chunk indices the shard owns, ascending.
-    pub chunks: Vec<u32>,
-    /// Per-chunk partial values (see [`ReachResponse::ShardPartials`]).
-    pub values: Vec<Vec<u64>>,
-}
+/// A reported reach, as seen by the client: the wire's [`ReachPoint`].
+pub type ClientReach = ReachPoint;
 
 /// The wait before retry `retries` (1-based) of a rate-limited request:
 /// the server-suggested `retry_after_ms` plus a growing safety margin,
@@ -236,10 +217,7 @@ impl ReachClient {
         locations: &[&str],
         interests: &[u32],
     ) -> Result<ClientReach, ClientError> {
-        let request = ReachRequest::scalar(
-            locations.iter().map(|s| s.to_string()).collect(),
-            interests.to_vec(),
-        );
+        let request = ReachRequest::scalar(owned(locations), interests.to_vec());
         match self.request(&request)? {
             ReachResponse::Reach { reported, floored, too_narrow_warning } => {
                 Ok(ClientReach { reported, floored, too_narrow_warning })
@@ -262,19 +240,9 @@ impl ReachClient {
         locations: &[&str],
         interests: &[u32],
     ) -> Result<Vec<ClientReach>, ClientError> {
-        let request = ReachRequest::nested(
-            locations.iter().map(|s| s.to_string()).collect(),
-            interests.to_vec(),
-        );
+        let request = ReachRequest::nested(owned(locations), interests.to_vec());
         match self.request(&request)? {
-            ReachResponse::Nested { reaches } => Ok(reaches
-                .into_iter()
-                .map(|p| ClientReach {
-                    reported: p.reported,
-                    floored: p.floored,
-                    too_narrow_warning: p.too_narrow_warning,
-                })
-                .collect()),
+            ReachResponse::Nested { reaches } => Ok(reaches),
             other => Err(unexpected(other)),
         }
     }
@@ -294,10 +262,7 @@ impl ReachClient {
         locations: &[&str],
         interests: &[u32],
     ) -> Result<ClientReach, ClientError> {
-        let request = ReachRequest::sampled(
-            locations.iter().map(|s| s.to_string()).collect(),
-            interests.to_vec(),
-        );
+        let request = ReachRequest::sampled(owned(locations), interests.to_vec());
         match self.request(&request)? {
             ReachResponse::SampledReach { reported, floored, too_narrow_warning } => {
                 Ok(ClientReach { reported, floored, too_narrow_warning })
@@ -315,12 +280,9 @@ impl ReachClient {
     ///
     /// See [`ClientError`].
     pub fn shard_partials(&mut self, request: &ReachRequest) -> Result<ShardPartials, ClientError> {
-        match self.request(&request.clone().with_shard())? {
-            ReachResponse::ShardPartials { generation, chunks, values } => {
-                Ok(ShardPartials { generation, chunks, values })
-            }
-            other => Err(unexpected(other)),
-        }
+        let request = request.clone().with_shard();
+        let id = self.send(&request)?;
+        self.receive_partials(&request, id)
     }
 
     /// Fetches the server's query-cache statistics snapshot.
@@ -483,11 +445,31 @@ impl ReachClient {
         request: &ReachRequest,
         id: u64,
     ) -> Result<ReachResponse, ClientError> {
+        client_answer(self.receive_answer(request, id)?)
+    }
+
+    /// [`ReachClient::receive`] for a `shard`-flagged request: the router's
+    /// read of a backend's partials. Crate-private, so the public reads
+    /// only ever yield floored client answers.
+    pub(crate) fn receive_partials(
+        &mut self,
+        request: &ReachRequest,
+        id: u64,
+    ) -> Result<ShardPartials, ClientError> {
+        match self.receive_answer(request, id)? {
+            Answer::Partials(partials) => Ok(partials),
+            Answer::Client(other) => Err(unexpected(other)),
+        }
+    }
+
+    /// The first substantive answer to id `id`, resending `request`
+    /// through rate limits.
+    fn receive_answer(&mut self, request: &ReachRequest, id: u64) -> Result<Answer, ClientError> {
         let mut id = id;
         let mut retries = 0;
         loop {
             match self.read_matching(id)? {
-                ReachResponse::RateLimited { retry_after_ms } => {
+                Answer::Client(ReachResponse::RateLimited { retry_after_ms }) => {
                     if retries >= self.max_retries {
                         return Err(ClientError::RateLimitExhausted);
                     }
@@ -495,7 +477,9 @@ impl ReachClient {
                     std::thread::sleep(backoff_wait(retry_after_ms, retries, self.max_backoff));
                     id = self.send(request)?;
                 }
-                ReachResponse::Error { message } => return Err(ClientError::Server(message)),
+                Answer::Client(ReachResponse::Error { message }) => {
+                    return Err(ClientError::Server(message))
+                }
                 substantive => return Ok(substantive),
             }
         }
@@ -516,9 +500,11 @@ impl ReachClient {
     ///
     /// # Errors
     ///
-    /// Transport-level failures only ([`ClientError::Io`],
+    /// Transport-level failures ([`ClientError::Io`],
     /// [`ClientError::BadFrame`], [`ClientError::Disconnected`],
-    /// [`ClientError::Desynchronized`]).
+    /// [`ClientError::Desynchronized`]), and
+    /// [`ClientError::UnexpectedResponse`] when the peer answers a slot
+    /// with shard partials.
     pub fn pipeline(
         &mut self,
         requests: &[ReachRequest],
@@ -535,7 +521,7 @@ impl ReachClient {
         loop {
             let mut rate_limited: Vec<(usize, u64)> = Vec::new();
             while !pending.is_empty() {
-                let (id, response) = self.read_response()?;
+                let (id, answer) = self.read_response()?;
                 let slot = match id {
                     Some(got) => match pending.iter().position(|&(p, _)| p == got) {
                         Some(k) => pending.remove(k).1,
@@ -550,6 +536,7 @@ impl ReachClient {
                         pending.remove(0).1
                     }
                 };
+                let response = client_answer(answer)?;
                 if let ReachResponse::RateLimited { retry_after_ms } = response {
                     rate_limited.push((slot, retry_after_ms));
                 } else {
@@ -586,26 +573,26 @@ impl ReachClient {
     /// responses for other (abandoned) ids are discarded; an id-less
     /// response is trusted as the in-order answer — unless the connection
     /// is poisoned, in which case it is unattributable.
-    fn read_matching(&mut self, want: u64) -> Result<ReachResponse, ClientError> {
+    fn read_matching(&mut self, want: u64) -> Result<Answer, ClientError> {
         loop {
-            let (id, response) = self.read_response()?;
+            let (id, answer) = self.read_response()?;
             match id {
-                Some(got) if got == want => return Ok(response),
+                Some(got) if got == want => return Ok(answer),
                 Some(_) => continue,
                 None => {
                     if self.desynced {
                         return Err(ClientError::Desynchronized);
                     }
-                    return Ok(response);
+                    return Ok(answer);
                 }
             }
         }
     }
 
-    fn read_response(&mut self) -> Result<(Option<u64>, ReachResponse), ClientError> {
+    fn read_response(&mut self) -> Result<(Option<u64>, Answer), ClientError> {
         loop {
             if let Some(frame) = self.codec.next_frame()? {
-                let ResponseFrame { id, server_timing, response } = decode_response_frame(&frame)?;
+                let ResponseFrame { id, server_timing, response } = decode_answer_frame(&frame)?;
                 self.settle_span(id, server_timing.as_ref());
                 if server_timing.is_some() {
                     self.last_server_timing = server_timing;
@@ -644,6 +631,20 @@ impl Drop for ReachClient {
     }
 }
 
+/// Owned copies of a query's location codes.
+fn owned(locations: &[&str]) -> Vec<String> {
+    locations.iter().map(|s| s.to_string()).collect()
+}
+
+/// A client answer; partials, which only a shard backend sends and only the
+/// router may read, are a protocol violation here.
+fn client_answer(answer: Answer) -> Result<ReachResponse, ClientError> {
+    match answer {
+        Answer::Client(response) => Ok(response),
+        Answer::Partials(_) => Err(ClientError::UnexpectedResponse("shard_partials")),
+    }
+}
+
 /// Labels a response that arrived where it cannot belong.
 fn unexpected(response: ReachResponse) -> ClientError {
     ClientError::UnexpectedResponse(match response {
@@ -654,7 +655,6 @@ fn unexpected(response: ReachResponse) -> ClientError {
         ReachResponse::Stats { .. } => "stats",
         ReachResponse::StatsSnapshot { .. } => "stats_snapshot",
         ReachResponse::SampledReach { .. } => "sampled_reach",
-        ReachResponse::ShardPartials { .. } => "shard_partials",
     })
 }
 

@@ -50,7 +50,7 @@ pub mod router;
 mod serve;
 pub mod server;
 
-pub use client::{ClientError, ClientReach, ReachClient, ShardPartials, DEFAULT_MAX_BACKOFF};
-pub use proto::{Op, QueryKind, ReachPoint, ReachRequest, ReachResponse};
+pub use client::{ClientError, ClientReach, ReachClient, DEFAULT_MAX_BACKOFF};
+pub use proto::{Op, QueryKind, ReachPoint, ReachRequest, ReachResponse, ShardPartials};
 pub use router::{ReachRouter, RouterConfig};
 pub use server::{RateLimitConfig, ReachServer, ServerConfig, MAX_RETRY_BACKOFF};

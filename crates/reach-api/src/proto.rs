@@ -5,21 +5,23 @@
 //! buffered, oversized lines are rejected — the classic pitfalls the framing
 //! chapter of the Tokio guide warns about, handled explicitly.
 //!
-//! Every frame goes through one hand-written codec ([`Message`]), the
-//! `stats` and `registry` payloads included. The encoder writes straight
-//! into the output buffer with the workspace's JSON writers
-//! ([`uof_telemetry::json`]), byte for byte what `serde_json` renders for
-//! the same value; the serde derives on the protocol and payload types
-//! remain only as that reference, for the tests. The decoder reads each
+//! Every frame goes through one hand-written codec, the `stats` and
+//! `registry` payloads included; no protocol type carries a serde derive.
+//! The encoder writes straight into the output buffer with the workspace's
+//! JSON writers ([`uof_telemetry::json`]). The decoder reads each
 //! message's closed key set straight off the workspace's one JSON lexer
 //! ([`uof_telemetry::json::Cursor`]) in one linear pass, in any key order,
 //! with any whitespace, escapes and unknown keys. It builds no intermediate
 //! value tree, recurses no deeper than the schema's fixed shape, skips
 //! unknown values iteratively under [`MAX_DEPTH`], and refuses a frame with
 //! a typed [`FrameError`].
+//!
+//! A response body is a floored [`ReachResponse`] for a client, or a shard
+//! backend's sub-floor [`ShardPartials`] for the router. Each has its own
+//! encoder and decoder, and each decoder refuses the other's frames.
 
+use fbsim_adplatform::reach::PotentialReach;
 use reach_cache::CacheStats;
-use serde::{Deserialize, Serialize};
 use uof_telemetry::json::{push_i64, push_string, push_u64, Cursor, LexError, Number};
 use uof_telemetry::{BucketCount, TraceContext};
 use uof_telemetry::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, RegistrySnapshot};
@@ -43,7 +45,7 @@ pub const MAX_FRAME: usize = 64 * 1024;
 /// extensions added after the first protocol release; absent keys
 /// deserialize as `None`, so version-1 frames from older clients remain
 /// valid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReachRequest {
     /// Protocol version (must equal [`PROTOCOL_VERSION`]).
     pub v: u32,
@@ -68,7 +70,6 @@ pub struct ReachRequest {
     /// (`ServerConfig::index`); mutually exclusive with `nested`. Like the
     /// other extension fields, an absent key deserializes as `None`, so
     /// pre-`sampled` frames remain valid.
-    #[serde(default)]
     pub sampled: Option<bool>,
     /// Pipelining extension: a client-chosen request id. A server that
     /// understands ids echoes the id in the response frame (see
@@ -76,16 +77,14 @@ pub struct ReachRequest {
     /// id. Absent on v1 frames — they still decode (`None`) and are
     /// answered in arrival order, so pre-pipelining clients and servers
     /// interoperate both ways.
-    #[serde(default)]
     pub id: Option<u64>,
     /// Sharding extension: `Some(true)` asks a shard-configured backend for
-    /// its raw per-chunk partial accumulators via
-    /// [`ReachResponse::ShardPartials`] instead of a floored report. Only
-    /// the router speaks this opcode; a server **not** running as a shard
-    /// refuses it, because partials expose sub-floor audience values that
-    /// the reporting floor deliberately hides (the floor is applied once,
-    /// at the router, after the merge).
-    #[serde(default)]
+    /// its raw per-chunk partial accumulators, a [`ShardPartials`] frame,
+    /// instead of a floored report. Only the router speaks this opcode; a
+    /// server **not** running as a shard refuses it, because partials
+    /// expose sub-floor audience values that the reporting floor
+    /// deliberately hides (the floor is applied once, at the router, after
+    /// the merge).
     pub shard: Option<bool>,
     /// Tracing extension: the sender's [`TraceContext`], so spans recorded
     /// server-side land in the caller's trace as children of the request
@@ -97,13 +96,13 @@ pub struct ReachRequest {
     /// (see [`encode_response_frame`]); clients that never send a context
     /// never see a tracing byte. Rides as the compact pair
     /// `[trace_id, parent_span_id]` ([`TraceContext`]'s wire form).
-    #[serde(default)]
     pub trace: Option<TraceContext>,
 }
 
 impl ReachRequest {
-    /// A scalar conjunction-reach query.
-    pub fn scalar(locations: Vec<String>, interests: Vec<u32>) -> Self {
+    /// The current-version request over `locations` and `interests` with
+    /// every extension unset: the base every constructor updates.
+    fn base(locations: Vec<String>, interests: Vec<u32>) -> Self {
         Self {
             v: PROTOCOL_VERSION,
             locations,
@@ -116,72 +115,33 @@ impl ReachRequest {
             shard: None,
             trace: None,
         }
+    }
+
+    /// A scalar conjunction-reach query.
+    pub fn scalar(locations: Vec<String>, interests: Vec<u32>) -> Self {
+        Self::base(locations, interests)
     }
 
     /// A nested prefix-sweep query (order of `interests` is significant).
     pub fn nested(locations: Vec<String>, interests: Vec<u32>) -> Self {
-        Self {
-            v: PROTOCOL_VERSION,
-            locations,
-            interests,
-            nested: Some(true),
-            stats: None,
-            snapshot: None,
-            sampled: None,
-            id: None,
-            shard: None,
-            trace: None,
-        }
+        Self { nested: Some(true), ..Self::base(locations, interests) }
     }
 
     /// A cache-statistics probe.
     pub fn stats() -> Self {
-        Self {
-            v: PROTOCOL_VERSION,
-            locations: Vec::new(),
-            interests: Vec::new(),
-            nested: None,
-            stats: Some(true),
-            snapshot: None,
-            sampled: None,
-            id: None,
-            shard: None,
-            trace: None,
-        }
+        Self { stats: Some(true), ..Self::base(Vec::new(), Vec::new()) }
     }
 
     /// A telemetry-registry probe (full metrics dump).
     pub fn stats_snapshot() -> Self {
-        Self {
-            v: PROTOCOL_VERSION,
-            locations: Vec::new(),
-            interests: Vec::new(),
-            nested: None,
-            stats: None,
-            snapshot: Some(true),
-            sampled: None,
-            id: None,
-            shard: None,
-            trace: None,
-        }
+        Self { snapshot: Some(true), ..Self::base(Vec::new(), Vec::new()) }
     }
 
     /// A sampled conjunction-reach query answered from the server's
     /// bit-packed posting-list index (order-insensitive, like
     /// [`ReachRequest::scalar`]).
     pub fn sampled(locations: Vec<String>, interests: Vec<u32>) -> Self {
-        Self {
-            v: PROTOCOL_VERSION,
-            locations,
-            interests,
-            nested: None,
-            stats: None,
-            snapshot: None,
-            sampled: Some(true),
-            id: None,
-            shard: None,
-            trace: None,
-        }
+        Self { sampled: Some(true), ..Self::base(locations, interests) }
     }
 
     /// Tags the request with a pipelining id (builder style).
@@ -240,8 +200,8 @@ pub enum Op {
     Query {
         /// Which reach to compute.
         kind: QueryKind,
-        /// Answer with raw per-chunk partials
-        /// ([`ReachResponse::ShardPartials`]) instead of a floored report.
+        /// Answer with raw per-chunk [`ShardPartials`] instead of a floored
+        /// report.
         shard: bool,
     },
 }
@@ -260,7 +220,7 @@ pub enum QueryKind {
 }
 
 /// One reported prefix reach within a [`ReachResponse::Nested`] answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReachPoint {
     /// Reported potential reach (floor applied).
     pub reported: u64,
@@ -270,9 +230,14 @@ pub struct ReachPoint {
     pub too_narrow_warning: bool,
 }
 
-/// A server response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+impl From<PotentialReach> for ReachPoint {
+    fn from(PotentialReach { reported, floored, too_narrow_warning }: PotentialReach) -> Self {
+        Self { reported, floored, too_narrow_warning }
+    }
+}
+
+/// A server's answer to a client: every reach in it is floored.
+#[derive(Debug, Clone, PartialEq)]
 pub enum ReachResponse {
     /// Successful reach report.
     Reach {
@@ -326,24 +291,34 @@ pub enum ReachResponse {
         /// Whether the "audience too narrow" advisory applies.
         too_narrow_warning: bool,
     },
-    /// A shard backend's raw per-chunk partial accumulators, the router's
-    /// merge input. Only shard-configured servers emit this (raw values are
-    /// sub-floor; see [`ReachRequest`]'s `shard` field). Float partials ride
-    /// as `f64::to_bits` so the wire is lossless and the router's merge can
-    /// be bit-identical to a single-node fold.
-    ShardPartials {
-        /// The backend world's [`fbsim_population::World::generation`] the
-        /// partials were computed under — the router refuses to merge
-        /// partials from mismatched epochs.
-        generation: u64,
-        /// Global chunk indices this shard owns, ascending.
-        chunks: Vec<u32>,
-        /// `values[k]` holds chunk `chunks[k]`'s partials: one
-        /// `f64::to_bits` element for a scalar query, one per prefix for a
-        /// nested query, and one raw (integer) survivor count for a sampled
-        /// query.
-        values: Vec<Vec<u64>>,
-    },
+}
+
+/// A shard backend's raw per-chunk partial accumulators, the router's merge
+/// input and the only body of a `shard_partials` frame. Only a
+/// shard-configured server builds one (raw values are sub-floor; see
+/// [`ReachRequest`]'s `shard` field), and only the router reads one. Float
+/// partials ride as `f64::to_bits` so the wire is lossless and the router's
+/// merge can be bit-identical to a single-node fold.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardPartials {
+    /// The backend world's [`fbsim_population::World::generation`] the
+    /// partials were computed under — the router refuses to merge partials
+    /// from mismatched epochs.
+    pub generation: u64,
+    /// Global chunk indices this shard owns, ascending.
+    pub chunks: Vec<u32>,
+    /// `values[k]` holds chunk `chunks[k]`'s partials: one `f64::to_bits`
+    /// element for a scalar query, one per prefix for a nested query, and
+    /// one raw (integer) survivor count for a sampled query.
+    pub values: Vec<Vec<u64>>,
+}
+
+/// What a connection handler answers a frame with: a client response, or a
+/// shard backend's partials. Crate-private, so only the server's own
+/// handler can put partials on a socket.
+pub(crate) enum Answer {
+    Client(ReachResponse),
+    Partials(ShardPartials),
 }
 
 /// Errors from the framing codec and the message decoder.
@@ -540,15 +515,16 @@ pub struct ServerTiming {
 }
 
 /// A decoded response frame: the body plus the optional envelope keys
-/// (pipelining id, server-timing echo).
+/// (pipelining id, server-timing echo). The body is a [`ReachResponse`] on
+/// the client hop and [`ShardPartials`] on the shard hop.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ResponseFrame {
+pub struct ResponseFrame<R = ReachResponse> {
     /// Echoed pipelining id, when the request carried one.
     pub id: Option<u64>,
     /// Server-timing echo, when the request carried a trace context.
     pub server_timing: Option<ServerTiming>,
     /// The response body.
-    pub response: ReachResponse,
+    pub response: R,
 }
 
 /// Encodes a response frame, echoing the request's pipelining id and — for
@@ -565,27 +541,45 @@ pub fn encode_response_frame(
     response: &ReachResponse,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
-    append_response_frame(&mut out, id, timing, response);
+    write_response(&mut out, id, timing, response);
+    out.push(b'\n');
     out
 }
 
-/// Appends the frame [`encode_response_frame`] returns to `out` — how a
-/// server batches a read's answers into one write.
-pub fn append_response_frame(
+/// Encodes a shard backend's partials as one frame, with the same envelope
+/// as [`encode_response_frame`]. Only the shard hop carries it.
+pub fn encode_partials_frame(
+    id: Option<u64>,
+    timing: Option<&ServerTiming>,
+    partials: &ShardPartials,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(256);
+    write_partials(&mut out, id, timing, partials);
+    out.push(b'\n');
+    out
+}
+
+/// Appends `answer` as one frame to `out` — how a server batches a read's
+/// answers into one write.
+pub(crate) fn append_answer_frame(
     out: &mut Vec<u8>,
     id: Option<u64>,
     timing: Option<&ServerTiming>,
-    response: &ReachResponse,
+    answer: &Answer,
 ) {
-    write_response(out, id, timing, response);
+    match answer {
+        Answer::Client(response) => write_response(out, id, timing, response),
+        Answer::Partials(partials) => write_partials(out, id, timing, partials),
+    }
     out.push(b'\n');
 }
 
 // ---------------------------------------------------------------- encoder
 //
-// The byte shape is `serde_json`'s rendering of the serde derives: keys in
-// declaration order, `None` as `null`, no whitespace, and strings escaped
-// exactly as its writer does.
+// The byte shape is what `serde_json` renders for derived serde impls of
+// these types (the proptests' mirror types): keys in declaration order,
+// `None` as `null`, no whitespace, and strings escaped exactly as its
+// writer does.
 
 impl Message for ReachRequest {
     fn write_json(&self, out: &mut Vec<u8>) {
@@ -657,23 +651,7 @@ fn write_response(
     timing: Option<&ServerTiming>,
     response: &ReachResponse,
 ) {
-    out.push(b'{');
-    if let Some(id) = id {
-        out.extend_from_slice(b"\"id\":");
-        push_u64(out, id);
-        out.push(b',');
-    }
-    if let Some(t) = timing {
-        out.extend_from_slice(b"\"st\":[");
-        push_u64(out, t.queue_ns);
-        out.push(b',');
-        push_u64(out, t.handler_ns);
-        out.push(b',');
-        out.push(if t.cache_hit { b'1' } else { b'0' });
-        out.push(b',');
-        push_u64(out, t.engine_ns);
-        out.extend_from_slice(b"],");
-    }
+    write_envelope(out, id, timing);
     match response {
         ReachResponse::Reach { reported, floored, too_narrow_warning } => {
             out.extend_from_slice(b"\"kind\":\"reach\",");
@@ -707,16 +685,45 @@ fn write_response(
             out.extend_from_slice(b"\"kind\":\"sampled_reach\",");
             push_point(out, *reported, *floored, *too_narrow_warning);
         }
-        ReachResponse::ShardPartials { generation, chunks, values } => {
-            out.extend_from_slice(b"\"kind\":\"shard_partials\",\"generation\":");
-            push_u64(out, *generation);
-            out.extend_from_slice(b",\"chunks\":");
-            push_u32s(out, chunks);
-            out.extend_from_slice(b",\"values\":");
-            push_array(out, values, |out, row| push_array(out, row, |out, &v| push_u64(out, v)));
-        }
     }
     out.push(b'}');
+}
+
+fn write_partials(
+    out: &mut Vec<u8>,
+    id: Option<u64>,
+    timing: Option<&ServerTiming>,
+    partials: &ShardPartials,
+) {
+    write_envelope(out, id, timing);
+    out.extend_from_slice(b"\"kind\":\"shard_partials\",\"generation\":");
+    push_u64(out, partials.generation);
+    out.extend_from_slice(b",\"chunks\":");
+    push_u32s(out, &partials.chunks);
+    out.extend_from_slice(b",\"values\":");
+    push_array(out, &partials.values, |out, row| push_array(out, row, |out, &v| push_u64(out, v)));
+    out.push(b'}');
+}
+
+/// A response object's opening brace and envelope keys.
+fn write_envelope(out: &mut Vec<u8>, id: Option<u64>, timing: Option<&ServerTiming>) {
+    out.push(b'{');
+    if let Some(id) = id {
+        out.extend_from_slice(b"\"id\":");
+        push_u64(out, id);
+        out.push(b',');
+    }
+    if let Some(t) = timing {
+        out.extend_from_slice(b"\"st\":[");
+        push_u64(out, t.queue_ns);
+        out.push(b',');
+        push_u64(out, t.handler_ns);
+        out.push(b',');
+        out.push(if t.cache_hit { b'1' } else { b'0' });
+        out.push(b',');
+        push_u64(out, t.engine_ns);
+        out.extend_from_slice(b"],");
+    }
 }
 
 /// The three fields of a reach report, in [`ReachPoint`] order.
@@ -1332,12 +1339,40 @@ const RESPONSE_KEYS: [&str; 14] = [
     "values",
 ];
 
-/// Decodes a response frame into its body and optional envelope keys.
+/// Decodes a client response frame into its body and optional envelope
+/// keys.
 ///
 /// # Errors
 ///
-/// A typed [`FrameError`] saying why the frame was refused.
+/// A typed [`FrameError`] saying why the frame was refused; a
+/// `shard_partials` frame is [`FrameError::Malformed`], since partials
+/// never answer a client.
 pub fn decode_response_frame(frame: &[u8]) -> Result<ResponseFrame, FrameError> {
+    let ResponseFrame { id, server_timing, response } = decode_answer_frame(frame)?;
+    match response {
+        Answer::Client(response) => Ok(ResponseFrame { id, server_timing, response }),
+        Answer::Partials(_) => Err(FrameError::Malformed("shard partials on a client hop".into())),
+    }
+}
+
+/// Decodes a shard backend's `shard_partials` frame into its body and
+/// optional envelope keys.
+///
+/// # Errors
+///
+/// A typed [`FrameError`] saying why the frame was refused; a client
+/// response frame is [`FrameError::Malformed`].
+pub fn decode_partials_frame(frame: &[u8]) -> Result<ResponseFrame<ShardPartials>, FrameError> {
+    let ResponseFrame { id, server_timing, response } = decode_answer_frame(frame)?;
+    match response {
+        Answer::Partials(response) => Ok(ResponseFrame { id, server_timing, response }),
+        Answer::Client(_) => Err(FrameError::Malformed("not a shard_partials frame".into())),
+    }
+}
+
+/// Decodes a response frame of either hop: what a client reads its
+/// answers with, before it checks they are the kind it asked for.
+pub(crate) fn decode_answer_frame(frame: &[u8]) -> Decoded<ResponseFrame<Answer>> {
     let (mut id, mut st, mut kind) = (None, None, None);
     let (mut reported, mut floored, mut too_narrow_warning): (Slot<u64>, Slot<bool>, Slot<bool>) =
         (None, None, None);
@@ -1370,6 +1405,17 @@ pub fn decode_response_frame(frame: &[u8]) -> Result<ResponseFrame, FrameError> 
         })
     })?;
     let response = match kind.ok_or_else(|| missing("kind"))? {
+        Kind::ShardPartials => {
+            return Ok(ResponseFrame {
+                id,
+                server_timing: st,
+                response: Answer::Partials(ShardPartials {
+                    generation: need(generation, "generation")?,
+                    chunks: need(chunks, "chunks")?,
+                    values: need(values, "values")?,
+                }),
+            })
+        }
         Kind::Reach => ReachResponse::Reach {
             reported: need(reported, "reported")?,
             floored: need(floored, "floored")?,
@@ -1389,13 +1435,8 @@ pub fn decode_response_frame(frame: &[u8]) -> Result<ResponseFrame, FrameError> 
             floored: need(floored, "floored")?,
             too_narrow_warning: need(too_narrow_warning, "too_narrow_warning")?,
         },
-        Kind::ShardPartials => ReachResponse::ShardPartials {
-            generation: need(generation, "generation")?,
-            chunks: need(chunks, "chunks")?,
-            values: need(values, "values")?,
-        },
     };
-    Ok(ResponseFrame { id, server_timing: st, response })
+    Ok(ResponseFrame { id, server_timing: st, response: Answer::Client(response) })
 }
 
 #[cfg(test)]
@@ -1658,7 +1699,7 @@ mod tests {
 
     #[test]
     fn shard_partials_round_trip() {
-        let response = ReachResponse::ShardPartials {
+        let partials = ShardPartials {
             generation: 3,
             chunks: vec![0, 2, 5],
             values: vec![
@@ -1667,10 +1708,20 @@ mod tests {
                 vec![123.456f64.to_bits()],
             ],
         };
-        let frame = encode_response_frame(Some(9), None, &response);
-        let decoded = decode_response_frame(&frame[..frame.len() - 1]).unwrap();
+        let frame = encode_partials_frame(Some(9), None, &partials);
+        let decoded = decode_partials_frame(&frame[..frame.len() - 1]).unwrap();
         assert_eq!(decoded.id, Some(9));
-        assert_eq!(decoded.response, response);
+        assert_eq!(decoded.response, partials);
+        // Each hop's decoder refuses the other hop's frames.
+        assert_eq!(
+            decode_response_frame(&frame),
+            Err(FrameError::Malformed("shard partials on a client hop".into()))
+        );
+        let reach = ReachResponse::Reach { reported: 20, floored: true, too_narrow_warning: true };
+        assert_eq!(
+            decode_partials_frame(&encode_response_frame(Some(9), None, &reach)),
+            Err(FrameError::Malformed("not a shard_partials frame".into()))
+        );
         let shard_request = ReachRequest::scalar(vec!["US".into()], vec![1]).with_shard();
         assert_eq!(shard_request.shard, Some(true));
         let frame = encode(&shard_request);

@@ -22,12 +22,12 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use fbsim_adplatform::reach::{AdsManagerApi, ReportingEra};
+use fbsim_adplatform::reach::{AdsManagerApi, PotentialReach, ReportingEra};
 use fbsim_population::{World, CHUNK_USERS};
 use uof_telemetry::{RegistrySnapshot, Telemetry, TelemetryConfig, TraceContext};
 
-use crate::client::{ClientError, ReachClient, ShardPartials};
-use crate::proto::{Op, QueryKind, ReachPoint, ReachRequest, ReachResponse};
+use crate::client::{ClientError, ReachClient};
+use crate::proto::{Answer, Op, QueryKind, ReachRequest, ReachResponse, ShardPartials};
 use crate::serve::{serve_connection, validate, Acceptor, FrameHandler, TimingProbe};
 use crate::server::RateLimitConfig;
 
@@ -203,9 +203,9 @@ impl FrameHandler for FanOut<'_> {
         op: Op,
         parent: Option<TraceContext>,
         _probe: &mut TimingProbe,
-    ) -> Result<ReachResponse, String> {
+    ) -> Result<Answer, String> {
         let kind = match op {
-            Op::Snapshot => return Ok(self.fleet_snapshot(parent)),
+            Op::Snapshot => return Ok(Answer::Client(self.fleet_snapshot(parent))),
             Op::Stats => {
                 return Err("the router keeps no query cache; probe a backend for stats".into())
             }
@@ -218,7 +218,7 @@ impl FrameHandler for FanOut<'_> {
         let Some(clients) = self.clients.as_mut() else {
             return Err("router has no live backend connections".into());
         };
-        fan_out_and_merge(&self.api, clients, request, kind, parent)
+        fan_out_and_merge(&self.api, clients, request, kind, parent).map(Answer::Client)
     }
 }
 
@@ -271,14 +271,7 @@ fn fan_out_and_merge(
     }
     let mut partials: Vec<ShardPartials> = Vec::with_capacity(clients.len());
     for (client, id) in clients.iter_mut().zip(ids) {
-        match client.receive(&shard_request, id).map_err(backend)? {
-            ReachResponse::ShardPartials { generation, chunks, values } => {
-                partials.push(ShardPartials { generation, chunks, values });
-            }
-            _ => {
-                return Err("backend answered the shard opcode with a non-partials response".into())
-            }
-        }
+        partials.push(client.receive_partials(&shard_request, id).map_err(backend)?);
     }
     // Epoch coherence: every stamp must agree with the router's world.
     let want_generation = api.world().generation();
@@ -315,16 +308,15 @@ fn fan_out_and_merge(
             let mut total: u64 = 0;
             for (_, values) in &merged {
                 match values.as_slice() {
-                    [count] => total += count,
+                    [count] => {
+                        total = total.checked_add(*count).ok_or("sampled partials overflow u64")?
+                    }
                     _ => return Err("sampled partial is not one count".into()),
                 }
             }
-            let point = api.report_potential(total as f64 * scale);
-            ReachResponse::SampledReach {
-                reported: point.reported,
-                floored: point.floored,
-                too_narrow_warning: point.too_narrow_warning,
-            }
+            let PotentialReach { reported, floored, too_narrow_warning } =
+                api.report_potential(total as f64 * scale);
+            ReachResponse::SampledReach { reported, floored, too_narrow_warning }
         }
         QueryKind::Nested => {
             let prefixes = request.interests.len();
@@ -334,36 +326,38 @@ fn fan_out_and_merge(
                     return Err("nested partial width mismatch".into());
                 }
                 for (slot, &bits) in sums.iter_mut().zip(values) {
-                    *slot += f64::from_bits(bits);
+                    fold(slot, bits)?;
                 }
             }
-            let reaches = sums
-                .into_iter()
-                .map(|s| {
-                    let point = api.report_potential(s * scale);
-                    ReachPoint {
-                        reported: point.reported,
-                        floored: point.floored,
-                        too_narrow_warning: point.too_narrow_warning,
-                    }
-                })
-                .collect();
+            let reaches =
+                sums.into_iter().map(|s| api.report_potential(s * scale).into()).collect();
             ReachResponse::Nested { reaches }
         }
         QueryKind::Scalar => {
             let mut sum = 0.0f64;
             for (_, values) in &merged {
                 match values.as_slice() {
-                    [bits] => sum += f64::from_bits(*bits),
+                    [bits] => fold(&mut sum, *bits)?,
                     _ => return Err("scalar partial is not one value".into()),
                 }
             }
-            let point = api.report_potential(sum * scale);
-            ReachResponse::Reach {
-                reported: point.reported,
-                floored: point.floored,
-                too_narrow_warning: point.too_narrow_warning,
-            }
+            let PotentialReach { reported, floored, too_narrow_warning } =
+                api.report_potential(sum * scale);
+            ReachResponse::Reach { reported, floored, too_narrow_warning }
         }
     })
+}
+
+/// Adds one float partial to `sum`, in the single-node fold's order. A
+/// partial no engine produces (NaN, infinite or negative) or a sum past
+/// `f64::MAX` is refused: the floor would hide NaN and report infinity as
+/// `u64::MAX`, silently changing the answer.
+fn fold(sum: &mut f64, bits: u64) -> Result<(), String> {
+    let partial = f64::from_bits(bits);
+    *sum += partial;
+    if partial >= 0.0 && sum.is_finite() {
+        Ok(())
+    } else {
+        Err(format!("shard partial {partial} is not a finite non-negative reach"))
+    }
 }

@@ -26,7 +26,7 @@ use uof_telemetry::metrics::{Counter, Gauge};
 use uof_telemetry::{SpanSource, Telemetry, TraceContext};
 
 use crate::proto::{
-    append_response_frame, decode, FrameCodec, FrameError, Op, QueryKind, ReachRequest,
+    append_answer_frame, decode, Answer, FrameCodec, FrameError, Op, QueryKind, ReachRequest,
     ReachResponse, ServerTiming, PROTOCOL_VERSION,
 };
 use crate::server::{RateLimitConfig, TokenBucket};
@@ -51,16 +51,17 @@ pub(crate) trait FrameHandler {
     /// `engine_ns: 0` and the spans carry no engine fields.
     const RUNS_ENGINE: bool;
 
-    /// Answers `request`, whose opcode is `op`. `parent` is the handler
-    /// span's trace context, for the tier's own outgoing hops. An `Err` is
-    /// sent as [`ReachResponse::Error`].
+    /// Answers `request`, whose opcode is `op`: a client response, or a
+    /// shard backend's partials. `parent` is the handler span's trace
+    /// context, for the tier's own outgoing hops. An `Err` is sent as
+    /// [`ReachResponse::Error`].
     fn answer(
         &mut self,
         request: &ReachRequest,
         op: Op,
         parent: Option<TraceContext>,
         probe: &mut TimingProbe,
-    ) -> Result<ReachResponse, String>;
+    ) -> Result<Answer, String>;
 }
 
 /// State a listener shares with its accept thread and its connections.
@@ -271,7 +272,7 @@ pub(crate) fn serve_connection<H: FrameHandler>(
             let (id, timing, response) = match parsed {
                 Err(e) => {
                     telemetry.count("reach.requests.error", 1);
-                    (None, None, ReachResponse::Error { message: e.to_string() })
+                    (None, None, Answer::Client(ReachResponse::Error { message: e.to_string() }))
                 }
                 Ok(request) => {
                     let queue_ns = saturating_ns(decoded_at.elapsed());
@@ -290,9 +291,8 @@ pub(crate) fn serve_connection<H: FrameHandler>(
                     let response = match bucket.try_take() {
                         Err(wait) => {
                             telemetry.count("reach.requests.rate_limited", 1);
-                            ReachResponse::RateLimited {
-                                retry_after_ms: wait.as_millis().max(1) as u64,
-                            }
+                            let retry_after_ms = wait.as_millis().max(1) as u64;
+                            Answer::Client(ReachResponse::RateLimited { retry_after_ms })
                         }
                         Ok(()) => {
                             let r = answer_instrumented(
@@ -306,7 +306,9 @@ pub(crate) fn serve_connection<H: FrameHandler>(
                             );
                             if !matches!(
                                 r,
-                                ReachResponse::Error { .. } | ReachResponse::RateLimited { .. }
+                                Answer::Client(
+                                    ReachResponse::Error { .. } | ReachResponse::RateLimited { .. }
+                                )
                             ) {
                                 shared.served.fetch_add(1, Ordering::Relaxed);
                             }
@@ -330,11 +332,11 @@ pub(crate) fn serve_connection<H: FrameHandler>(
                     (request.id, timing, response)
                 }
             };
-            append_response_frame(&mut out, id, timing.as_ref(), &response);
+            append_answer_frame(&mut out, id, timing.as_ref(), &response);
         }
         if oversized {
             let response = ReachResponse::Error { message: "frame too large".into() };
-            append_response_frame(&mut out, None, None, &response);
+            append_answer_frame(&mut out, None, None, &Answer::Client(response));
         }
         if !out.is_empty() {
             match stream.write_all(&out) {
@@ -374,7 +376,7 @@ fn answer_instrumented<H: FrameHandler>(
     parent: Option<TraceContext>,
     started_at: Instant,
     probe: &mut TimingProbe,
-) -> ReachResponse {
+) -> Answer {
     let op = request.op();
     if !telemetry.is_enabled() {
         return dispatch(handler, request, op, parent, probe);
@@ -407,7 +409,7 @@ fn answer_instrumented<H: FrameHandler>(
             response
         }
     };
-    if matches!(response, ReachResponse::Error { .. }) {
+    if matches!(response, Answer::Client(ReachResponse::Error { .. })) {
         telemetry.registry().counter("reach.requests.error").incr();
     }
     response
@@ -421,13 +423,13 @@ fn dispatch<H: FrameHandler>(
     op: Result<Op, &'static str>,
     parent: Option<TraceContext>,
     probe: &mut TimingProbe,
-) -> ReachResponse {
+) -> Answer {
     let answered = if request.v == PROTOCOL_VERSION {
         op.map_err(String::from).and_then(|op| handler.answer(request, op, parent, probe))
     } else {
         Err(format!("unsupported protocol version {}", request.v))
     };
-    answered.unwrap_or_else(|message| ReachResponse::Error { message })
+    answered.unwrap_or_else(|message| Answer::Client(ReachResponse::Error { message }))
 }
 
 /// Validates a query's locations, interests and country filter and builds

@@ -11,7 +11,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fbsim_adplatform::reach::{AdsManagerApi, ReportingEra};
+use fbsim_adplatform::reach::{AdsManagerApi, PotentialReach, ReportingEra};
 use fbsim_population::index::{IndexConfig, ReachIndex};
 use fbsim_population::shard::{ShardAssignment, ShardSpec};
 use fbsim_population::{InterestId, World};
@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use reach_cache::{CacheConfig, CacheStats, ReachCache};
 use uof_telemetry::{Telemetry, TelemetryConfig, TraceContext};
 
-use crate::proto::{Op, QueryKind, ReachPoint, ReachRequest, ReachResponse};
+use crate::proto::{Answer, Op, QueryKind, ReachRequest, ReachResponse, ShardPartials};
 use crate::serve::{
     saturating_ns, serve_connection, validate, Acceptor, FrameHandler, TimingProbe,
 };
@@ -101,8 +101,8 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// `Some(spec)`: run as shard `spec.index` of `spec.count` — the
     /// server answers `shard`-flagged requests with its raw per-chunk
-    /// partials ([`ReachResponse::ShardPartials`]) over the chunks the
-    /// deterministic [`ShardAssignment`] gives it. `None` (the default):
+    /// [`ShardPartials`] over the chunks the deterministic
+    /// [`ShardAssignment`] gives it. `None` (the default):
     /// single-node mode; the shard opcode is refused, because raw partials
     /// expose sub-floor audiences the reporting floor hides.
     pub shard: Option<ShardSpec>,
@@ -317,7 +317,7 @@ impl FrameHandler for Engine<'_> {
         op: Op,
         _parent: Option<TraceContext>,
         probe: &mut TimingProbe,
-    ) -> Result<ReachResponse, String> {
+    ) -> Result<Answer, String> {
         let (api, cache, index) = (&self.api, self.cache, self.index);
         let world = api.world();
         // Reconcile the cache with the world's mutation generation before
@@ -334,9 +334,11 @@ impl FrameHandler for Engine<'_> {
                 if self.telemetry.is_enabled() {
                     publish_cache_stats(self.telemetry, &cache.stats());
                 }
-                return Ok(ReachResponse::StatsSnapshot { registry: self.telemetry.snapshot() });
+                return Ok(Answer::Client(ReachResponse::StatsSnapshot {
+                    registry: self.telemetry.snapshot(),
+                }));
             }
-            Op::Stats => return Ok(ReachResponse::Stats { stats: cache.stats() }),
+            Op::Stats => return Ok(Answer::Client(ReachResponse::Stats { stats: cache.stats() })),
             Op::Query { kind, shard } => (kind, shard),
         };
         if kind == QueryKind::Sampled && !self.config.index.enabled {
@@ -377,13 +379,13 @@ impl FrameHandler for Engine<'_> {
                     .map(|partial| vec![partial.to_bits()])
                     .collect(),
             };
-            return Ok(ReachResponse::ShardPartials {
+            return Ok(Answer::Partials(ShardPartials {
                 generation: world.generation(),
                 chunks: chunks.into_iter().map(|c| c as u32).collect(),
                 values,
-            });
+            }));
         }
-        Ok(match kind {
+        Ok(Answer::Client(match kind {
             QueryKind::Sampled => {
                 // Sampled counts bypass the float engine and its cache
                 // entirely: the index is its own memo (posting lists persist
@@ -392,12 +394,9 @@ impl FrameHandler for Engine<'_> {
                 let members = probe
                     .time(|| index.query(world, ids, |ix| ix.conjunction_count(ids, filter)))
                     .ok_or("sampled reach unavailable for this query")?;
-                let point = api.report_potential(members as f64 * world.panel().scale());
-                ReachResponse::SampledReach {
-                    reported: point.reported,
-                    floored: point.floored,
-                    too_narrow_warning: point.too_narrow_warning,
-                }
+                let PotentialReach { reported, floored, too_narrow_warning } =
+                    api.report_potential(members as f64 * world.panel().scale());
+                ReachResponse::SampledReach { reported, floored, too_narrow_warning }
             }
             QueryKind::Nested => {
                 // Nested answers flow through the cache's prefix memo, which
@@ -408,14 +407,7 @@ impl FrameHandler for Engine<'_> {
                 let reaches = probe
                     .time(|| cache.nested_reaches_in(&engine, ids, filter))
                     .into_iter()
-                    .map(|raw| {
-                        let point = api.report_potential(raw);
-                        ReachPoint {
-                            reported: point.reported,
-                            floored: point.floored,
-                            too_narrow_warning: point.too_narrow_warning,
-                        }
-                    })
+                    .map(|raw| api.report_potential(raw).into())
                     .collect();
                 ReachResponse::Nested { reaches }
             }
@@ -442,14 +434,11 @@ impl FrameHandler for Engine<'_> {
                     probe.engine_ns = probe.engine_ns.saturating_add(engine_ns);
                     probe.engine_ran = true;
                 }
-                let reach = api.report_potential(true_reach);
-                ReachResponse::Reach {
-                    reported: reach.reported,
-                    floored: reach.floored,
-                    too_narrow_warning: reach.too_narrow_warning,
-                }
+                let PotentialReach { reported, floored, too_narrow_warning } =
+                    api.report_potential(true_reach);
+                ReachResponse::Reach { reported, floored, too_narrow_warning }
             }
-        })
+        }))
     }
 }
 

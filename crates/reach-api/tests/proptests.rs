@@ -1,11 +1,15 @@
 //! Property-based tests of the wire protocol, and the differential check
 //! of its hand-written codec against the serde path it replaced.
 //!
-//! The reference is `serde_json` over the protocol types' serde derives,
-//! plus the envelope the wire used around it: `"id":N,` and
-//! `"st":[…],` spliced in front of the response body on encode, and on
-//! decode a second parse for `id` and the timing echo `st` (the compact
-//! array; the trace context is the compact pair likewise).
+//! The reference is `serde_json` over serde-derived mirrors of the
+//! protocol types (the production types carry no serde), plus the envelope
+//! the wire used around it: `"id":N,` and `"st":[…],` spliced in front of
+//! the response body on encode, and on decode a second parse for `id` and
+//! the timing echo `st` (the compact array; the trace context is the
+//! compact pair likewise). Response frames have two bodies, a client's
+//! [`ReachResponse`] and a shard backend's [`ShardPartials`], each with
+//! its own encoder and decoder; the reference knows them as one tagged
+//! enum, and each decoder must refuse the other's frames.
 //!
 //! The codec must write the reference's bytes exactly and accept exactly
 //! the frames the reference accepts, with the same values. The only frames
@@ -18,8 +22,9 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::prelude::*;
 use reach_api::proto::{
-    append_request_frame, decode, decode_response_frame, encode, encode_response_frame, FrameCodec,
-    FrameError, ReachPoint, ReachRequest, ReachResponse, ResponseFrame, ServerTiming, MAX_DEPTH,
+    append_request_frame, decode, decode_partials_frame, decode_response_frame, encode,
+    encode_partials_frame, encode_response_frame, FrameCodec, FrameError, ReachPoint, ReachRequest,
+    ReachResponse, ResponseFrame, ServerTiming, ShardPartials, MAX_DEPTH,
 };
 use reach_cache::CacheStats;
 use uof_telemetry::{
@@ -136,14 +141,290 @@ proptest! {
 }
 
 // ------------------------------------------------------------- reference
+//
+// The production types carry no serde derives. The reference derives them
+// on mirror types here instead: the same names, fields and field order, so
+// `serde_json` renders each exactly as it rendered the production types
+// when they carried the derives. `From` conversions map the production
+// values onto their mirrors, and the two paths are compared there.
+
+/// [`ReachRequest`]'s mirror.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct RefRequest {
+    v: u32,
+    locations: Vec<String>,
+    interests: Vec<u32>,
+    nested: Option<bool>,
+    stats: Option<bool>,
+    snapshot: Option<bool>,
+    sampled: Option<bool>,
+    id: Option<u64>,
+    shard: Option<bool>,
+    trace: Option<RefTrace>,
+}
+
+/// [`TraceContext`]'s mirror: the compact pair `[trace_id, parent_span_id]`.
+#[derive(Debug, PartialEq)]
+struct RefTrace(TraceContext);
+
+impl serde::Serialize for RefTrace {
+    fn to_value(&self) -> serde::Value {
+        use serde::Value;
+        Value::Array(vec![Value::U64(self.0.trace_id), Value::U64(self.0.parent_span_id)])
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for RefTrace {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        match value {
+            serde::Value::Array(items) if items.len() == 2 => Ok(RefTrace(TraceContext {
+                trace_id: u64::from_value(&items[0])?,
+                parent_span_id: u64::from_value(&items[1])?,
+            })),
+            other => Err(serde::Error::msg(format!("not a trace context: {other:?}"))),
+        }
+    }
+}
+
+/// [`ReachPoint`]'s mirror.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct RefPoint {
+    reported: u64,
+    floored: bool,
+    too_narrow_warning: bool,
+}
+
+/// Both hops' response bodies in one internally tagged enum: the
+/// [`ReachResponse`] variants, then [`ShardPartials`].
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
+enum RefResponse {
+    Reach { reported: u64, floored: bool, too_narrow_warning: bool },
+    RateLimited { retry_after_ms: u64 },
+    Error { message: String },
+    Nested { reaches: Vec<RefPoint> },
+    Stats { stats: RefCacheStats },
+    StatsSnapshot { registry: RefRegistry },
+    SampledReach { reported: u64, floored: bool, too_narrow_warning: bool },
+    ShardPartials { generation: u64, chunks: Vec<u32>, values: Vec<Vec<u64>> },
+}
+
+/// [`CacheStats`]' mirror.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct RefCacheStats {
+    enabled: bool,
+    epoch: u64,
+    shards: usize,
+    capacity: usize,
+    entries: usize,
+    hits: u64,
+    misses: u64,
+    single_flight_waits: u64,
+    insertions: u64,
+    evictions: u64,
+    invalidations: u64,
+    prefix_entries: usize,
+    prefix_hits: u64,
+    prefix_misses: u64,
+    prefix_extensions: u64,
+}
+
+/// [`RegistrySnapshot`]'s mirror.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct RefRegistry {
+    counters: Vec<RefCounter>,
+    gauges: Vec<RefGauge>,
+    histograms: Vec<RefHistogram>,
+}
+
+/// [`CounterSnapshot`]'s mirror.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct RefCounter {
+    name: String,
+    value: u64,
+}
+
+/// [`GaugeSnapshot`]'s mirror.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct RefGauge {
+    name: String,
+    value: i64,
+}
+
+/// [`HistogramSnapshot`]'s mirror.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct RefHistogram {
+    name: String,
+    count: u64,
+    sum: u64,
+    buckets: Vec<RefBucket>,
+}
+
+/// [`BucketCount`]'s mirror.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct RefBucket {
+    le: u64,
+    count: u64,
+}
+
+impl From<&ReachRequest> for RefRequest {
+    fn from(r: &ReachRequest) -> Self {
+        RefRequest {
+            v: r.v,
+            locations: r.locations.clone(),
+            interests: r.interests.clone(),
+            nested: r.nested,
+            stats: r.stats,
+            snapshot: r.snapshot,
+            sampled: r.sampled,
+            id: r.id,
+            shard: r.shard,
+            trace: r.trace.map(RefTrace),
+        }
+    }
+}
+
+impl From<&Body> for RefResponse {
+    fn from(body: &Body) -> Self {
+        let response = match body {
+            Body::Client(response) => response,
+            Body::Partials(p) => {
+                return RefResponse::ShardPartials {
+                    generation: p.generation,
+                    chunks: p.chunks.clone(),
+                    values: p.values.clone(),
+                }
+            }
+        };
+        match response.clone() {
+            ReachResponse::Reach { reported, floored, too_narrow_warning } => {
+                RefResponse::Reach { reported, floored, too_narrow_warning }
+            }
+            ReachResponse::RateLimited { retry_after_ms } => {
+                RefResponse::RateLimited { retry_after_ms }
+            }
+            ReachResponse::Error { message } => RefResponse::Error { message },
+            ReachResponse::Nested { reaches } => RefResponse::Nested {
+                reaches: reaches
+                    .into_iter()
+                    .map(|p| RefPoint {
+                        reported: p.reported,
+                        floored: p.floored,
+                        too_narrow_warning: p.too_narrow_warning,
+                    })
+                    .collect(),
+            },
+            ReachResponse::Stats { stats } => RefResponse::Stats { stats: stats.into() },
+            ReachResponse::StatsSnapshot { registry } => {
+                RefResponse::StatsSnapshot { registry: registry.into() }
+            }
+            ReachResponse::SampledReach { reported, floored, too_narrow_warning } => {
+                RefResponse::SampledReach { reported, floored, too_narrow_warning }
+            }
+        }
+    }
+}
+
+impl From<CacheStats> for RefCacheStats {
+    fn from(s: CacheStats) -> Self {
+        RefCacheStats {
+            enabled: s.enabled,
+            epoch: s.epoch,
+            shards: s.shards,
+            capacity: s.capacity,
+            entries: s.entries,
+            hits: s.hits,
+            misses: s.misses,
+            single_flight_waits: s.single_flight_waits,
+            insertions: s.insertions,
+            evictions: s.evictions,
+            invalidations: s.invalidations,
+            prefix_entries: s.prefix_entries,
+            prefix_hits: s.prefix_hits,
+            prefix_misses: s.prefix_misses,
+            prefix_extensions: s.prefix_extensions,
+        }
+    }
+}
+
+impl From<RegistrySnapshot> for RefRegistry {
+    fn from(r: RegistrySnapshot) -> Self {
+        RefRegistry {
+            counters: r
+                .counters
+                .into_iter()
+                .map(|c| RefCounter { name: c.name, value: c.value })
+                .collect(),
+            gauges: r
+                .gauges
+                .into_iter()
+                .map(|g| RefGauge { name: g.name, value: g.value })
+                .collect(),
+            histograms: r
+                .histograms
+                .into_iter()
+                .map(|h| RefHistogram {
+                    name: h.name,
+                    count: h.count,
+                    sum: h.sum,
+                    buckets: h
+                        .buckets
+                        .into_iter()
+                        .map(|b| RefBucket { le: b.le, count: b.count })
+                        .collect(),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// A response frame's body on either hop: a client response, or a shard
+/// backend's partials.
+#[derive(Debug, Clone, PartialEq)]
+enum Body {
+    Client(ReachResponse),
+    Partials(ShardPartials),
+}
+
+/// A frame's body mapped onto the reference's mirror.
+fn mirror(f: &ResponseFrame<Body>) -> ResponseFrame<RefResponse> {
+    ResponseFrame { id: f.id, server_timing: f.server_timing, response: (&f.response).into() }
+}
+
+/// Encodes `body` with its hop's encoder.
+fn encode_body(id: Option<u64>, timing: Option<&ServerTiming>, body: &Body) -> Vec<u8> {
+    match body {
+        Body::Client(response) => encode_response_frame(id, timing, response),
+        Body::Partials(partials) => encode_partials_frame(id, timing, partials),
+    }
+}
+
+/// Decodes `frame` with whichever hop's decoder accepts it; each refuses
+/// the other's frames, so at most one does.
+fn decode_body(frame: &[u8]) -> Result<ResponseFrame<Body>, FrameError> {
+    match (decode_response_frame(frame), decode_partials_frame(frame)) {
+        (Ok(f), Err(_)) => Ok(ResponseFrame {
+            id: f.id,
+            server_timing: f.server_timing,
+            response: Body::Client(f.response),
+        }),
+        (Err(_), Ok(f)) => Ok(ResponseFrame {
+            id: f.id,
+            server_timing: f.server_timing,
+            response: Body::Partials(f.response),
+        }),
+        (Err(e), Err(_)) => Err(e),
+        (Ok(client), Ok(partials)) => panic!("both hops accepted {client:?} / {partials:?}"),
+    }
+}
 
 /// The reference encoder: `serde_json` plus the id/`st` envelope splice.
 fn reference_response_frame(
     id: Option<u64>,
     timing: Option<&ServerTiming>,
-    response: &ReachResponse,
+    body: &Body,
 ) -> Vec<u8> {
-    let body = serde_json::to_vec(response).unwrap();
+    let body = serde_json::to_vec(&RefResponse::from(body)).unwrap();
     let mut out = b"{".to_vec();
     if let Some(id) = id {
         out.extend_from_slice(format!("\"id\":{id},").as_bytes());
@@ -183,9 +464,9 @@ struct RefEnvelope {
     st: Option<RefTiming>,
 }
 
-fn reference_decode_response(frame: &[u8]) -> Result<ResponseFrame, serde::Error> {
+fn reference_decode_response(frame: &[u8]) -> Result<ResponseFrame<RefResponse>, serde::Error> {
     let envelope: RefEnvelope = serde_json::from_slice(frame)?;
-    let response: ReachResponse = serde_json::from_slice(frame)?;
+    let response: RefResponse = serde_json::from_slice(frame)?;
     let server_timing = envelope.st.map(|t| t.0);
     Ok(ResponseFrame { id: envelope.id, server_timing, response })
 }
@@ -204,8 +485,10 @@ fn allowed_disagreement(error: &FrameError) -> bool {
 /// Decodes `frame` as both messages on both paths and checks they agree.
 fn agree(frame: &[u8]) -> Result<(), TestCaseError> {
     let shown = String::from_utf8_lossy(frame);
-    match (decode::<ReachRequest>(frame), serde_json::from_slice::<ReachRequest>(frame)) {
-        (Ok(ours), Ok(theirs)) => prop_assert_eq!(ours, theirs, "request {}", shown),
+    match (decode::<ReachRequest>(frame), serde_json::from_slice::<RefRequest>(frame)) {
+        (Ok(ours), Ok(theirs)) => {
+            prop_assert_eq!(RefRequest::from(&ours), theirs, "request {}", shown)
+        }
         (Ok(ours), Err(e)) => {
             return Err(TestCaseError::fail(format!(
                 "accepted {ours:?}, serde refused ({e}): {shown}"
@@ -214,8 +497,8 @@ fn agree(frame: &[u8]) -> Result<(), TestCaseError> {
         (Err(e), Ok(_)) => prop_assert!(allowed_disagreement(&e), "refused ({e:?}): {shown}"),
         (Err(_), Err(_)) => {}
     }
-    match (decode_response_frame(frame), reference_decode_response(frame)) {
-        (Ok(ours), Ok(theirs)) => prop_assert_eq!(ours, theirs, "response {}", shown),
+    match (decode_body(frame), reference_decode_response(frame)) {
+        (Ok(ours), Ok(theirs)) => prop_assert_eq!(mirror(&ours), theirs, "response {}", shown),
         (Ok(ours), Err(e)) => {
             return Err(TestCaseError::fail(format!(
                 "accepted {ours:?}, serde refused ({e}): {shown}"
@@ -281,13 +564,13 @@ fn gen_timing(rng: &mut StdRng) -> ServerTiming {
     }
 }
 
-fn gen_response(rng: &mut StdRng) -> ReachResponse {
+fn gen_response(rng: &mut StdRng) -> Body {
     let point = |rng: &mut StdRng| ReachPoint {
         reported: big(rng),
         floored: rng.gen(),
         too_narrow_warning: rng.gen(),
     };
-    match rng.gen_range(0..8u32) {
+    Body::Client(match rng.gen_range(0..8u32) {
         0 => {
             let p = point(rng);
             ReachResponse::Reach {
@@ -317,9 +600,9 @@ fn gen_response(rng: &mut StdRng) -> ReachResponse {
                 .iter()
                 .map(|_| (0..rng.gen_range(0..4)).map(|_| big(rng)).collect())
                 .collect();
-            ReachResponse::ShardPartials { generation: big(rng), chunks, values }
+            return Body::Partials(ShardPartials { generation: big(rng), chunks, values });
         }
-    }
+    })
 }
 
 fn gen_cache_stats(rng: &mut StdRng) -> CacheStats {
@@ -645,8 +928,20 @@ const VARIANT_KEYS: [&str; 11] = [
     "values",
 ];
 
-fn response_frame(rng: &mut StdRng, f: &ResponseFrame) -> Vec<u8> {
-    let (kind, fields) = match &f.response {
+fn response_frame(rng: &mut StdRng, f: &ResponseFrame<Body>) -> Vec<u8> {
+    let response = match &f.response {
+        Body::Client(response) => response,
+        Body::Partials(ShardPartials { generation, chunks, values }) => {
+            let chunks: Vec<u64> = chunks.iter().map(|&c| u64::from(c)).collect();
+            let fields = vec![
+                ("generation", J::Int(*generation)),
+                ("chunks", ints(&chunks)),
+                ("values", J::Arr(values.iter().map(|row| ints(row)).collect())),
+            ];
+            return envelope_frame(rng, f, "shard_partials", fields);
+        }
+    };
+    let (kind, fields) = match response {
         ReachResponse::Reach { reported, floored, too_narrow_warning } => {
             ("reach", point_fields(*reported, *floored, *too_narrow_warning))
         }
@@ -668,18 +963,18 @@ fn response_frame(rng: &mut StdRng, f: &ResponseFrame) -> Vec<u8> {
         ReachResponse::StatsSnapshot { registry } => {
             ("stats_snapshot", vec![("registry", registry_json(rng, registry))])
         }
-        ReachResponse::ShardPartials { generation, chunks, values } => {
-            let chunks: Vec<u64> = chunks.iter().map(|&c| u64::from(c)).collect();
-            (
-                "shard_partials",
-                vec![
-                    ("generation", J::Int(*generation)),
-                    ("chunks", ints(&chunks)),
-                    ("values", J::Arr(values.iter().map(|row| ints(row)).collect())),
-                ],
-            )
-        }
     };
+    envelope_frame(rng, f, kind, fields)
+}
+
+/// Renders a response frame of `kind` with `fields`, a stray variant key
+/// now and then, and `f`'s envelope.
+fn envelope_frame(
+    rng: &mut StdRng,
+    f: &ResponseFrame<Body>,
+    kind: &str,
+    fields: Vec<(&'static str, J)>,
+) -> Vec<u8> {
     let strays: Vec<&str> =
         VARIANT_KEYS.into_iter().filter(|k| fields.iter().all(|(f, _)| f != k)).collect();
     let stray = strays[rng.gen_range(0..strays.len())];
@@ -707,7 +1002,7 @@ proptest! {
     fn encoder_writes_the_serde_bytes(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let request = gen_request(&mut rng);
-        let mut want = serde_json::to_vec(&request).unwrap();
+        let mut want = serde_json::to_vec(&RefRequest::from(&request)).unwrap();
         want.push(b'\n');
         prop_assert_eq!(encode(&request), want);
         let response = gen_response(&mut rng);
@@ -717,12 +1012,12 @@ proptest! {
             (None, Some(gen_timing(&mut rng))),
             (Some(big(&mut rng)), Some(gen_timing(&mut rng))),
         ] {
-            let frame = encode_response_frame(id, timing.as_ref(), &response);
+            let frame = encode_body(id, timing.as_ref(), &response);
             prop_assert_eq!(
                 String::from_utf8(frame.clone()).unwrap(),
                 String::from_utf8(reference_response_frame(id, timing.as_ref(), &response)).unwrap()
             );
-            let back = decode_response_frame(&frame).unwrap();
+            let back = decode_body(&frame).unwrap();
             prop_assert_eq!(back, ResponseFrame { id, server_timing: timing, response: response.clone() });
         }
         prop_assert_eq!(decode::<ReachRequest>(&encode(&request)).unwrap(), request);
@@ -748,9 +1043,10 @@ proptest! {
         ] {
             let id = rng.gen_bool(0.5).then(|| big(&mut rng));
             let frame = encode_response_frame(id, None, &response);
+            let body = Body::Client(response.clone());
             prop_assert_eq!(
                 String::from_utf8(frame.clone()).unwrap(),
-                String::from_utf8(reference_response_frame(id, None, &response)).unwrap()
+                String::from_utf8(reference_response_frame(id, None, &body)).unwrap()
             );
             let back = decode_response_frame(&frame).unwrap();
             prop_assert_eq!(back, ResponseFrame { id, server_timing: None, response });
@@ -771,7 +1067,7 @@ proptest! {
         };
         let frame = response_frame(&mut rng, &response);
         agree(&frame)?;
-        prop_assert_eq!(decode_response_frame(&frame).unwrap(), response);
+        prop_assert_eq!(decode_body(&frame).unwrap(), response);
     }
 
     #[test]
@@ -900,6 +1196,11 @@ fn adversarial_corpus_yields_typed_errors() {
         (format!(r#"{{"kind":"stats_snapshot","registry":{{"counters":[],"gauges":[],"histograms":[{{"name":"h","count":1,"sum":2,"buckets":[{{"le":1,"count":0,"x":{}{}}}]}}]}}}}"#, "[".repeat(MAX_DEPTH - 6), "]".repeat(MAX_DEPTH - 6)).into_bytes(), None),
         (format!(r#"{{"kind":"stats_snapshot","registry":{{"counters":[],"gauges":[],"histograms":[{{"name":"h","count":1,"sum":2,"buckets":[{{"le":1,"count":0,"x":{}{}}}]}}]}}}}"#, "[".repeat(MAX_DEPTH - 5), "]".repeat(MAX_DEPTH - 5)).into_bytes(), Some(FrameError::TooDeep)),
         (r#"{"kind":"reach","reported":1,"floored":true,"too_narrow_warning":false,"stats":{"enabled":1}}"#.into(), None),
+        // Shard partials: a whole frame is refused on the client hop, a
+        // broken one on both.
+        (r#"{"id":3,"kind":"shard_partials","generation":1,"chunks":[0],"values":[[7]]}"#.into(), Some(FrameError::Malformed("shard partials on a client hop".into()))),
+        (r#"{"kind":"shard_partials","generation":1,"chunks":[0]}"#.into(), Some(FrameError::Malformed("missing key `values`".into()))),
+        (r#"{"kind":"shard_partials","generation":1,"chunks":[0],"values":[7]}"#.into(), Some(FrameError::WrongType { key: "values", expected: "an array" })),
     ];
     corpus.push((
         br#"{"kind":"reach","reported":1,"floored":tru,"too_narrow_warning":false}"#.to_vec(),

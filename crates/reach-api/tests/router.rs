@@ -15,7 +15,9 @@ use fbsim_population::reach::CountryFilter;
 use fbsim_population::{InterestId, ShardSpec, World, WorldConfig};
 use reach_api::proto::ReachRequest;
 use reach_api::server::{RateLimitConfig, ServerConfig};
-use reach_api::{ClientError, ReachClient, ReachResponse, ReachRouter, ReachServer, RouterConfig};
+use reach_api::{
+    ClientError, ReachClient, ReachResponse, ReachRouter, ReachServer, RouterConfig, ShardPartials,
+};
 
 fn test_world() -> Arc<World> {
     use std::sync::OnceLock;
@@ -346,14 +348,16 @@ fn bad_country_echo_is_bounded_and_identical_on_both_tiers() {
 }
 
 /// A raw-TCP shard backend for one connection: it reads one frame, calls
-/// `before_answer`, and answers with sampled partials (a zero count per
-/// chunk) for `chunks`, echoing the request id. If `before_answer`
-/// returns `false` it hangs up without answering.
+/// `before_answer`, and answers with partials for `chunks`, one `value`
+/// per chunk (a sampled count, or the bits of a scalar or one-prefix
+/// nested partial), echoing the request id. If `before_answer` returns
+/// `false` it hangs up without answering.
 fn scripted_backend(
     chunks: Vec<u32>,
+    value: u64,
     before_answer: impl FnOnce() -> bool + Send + 'static,
 ) -> std::net::SocketAddr {
-    use reach_api::proto::{decode, encode_response_frame, FrameCodec};
+    use reach_api::proto::{decode, encode_partials_frame, FrameCodec};
     use std::io::{Read, Write};
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -377,9 +381,9 @@ fn scripted_backend(
         if !before_answer() {
             return;
         }
-        let values = vec![vec![0u64]; chunks.len()];
-        let response = ReachResponse::ShardPartials { generation, chunks, values };
-        let _ = sock.write_all(&encode_response_frame(request.id, None, &response));
+        let values = vec![vec![value]; chunks.len()];
+        let partials = ShardPartials { generation, chunks, values };
+        let _ = sock.write_all(&encode_partials_frame(request.id, None, &partials));
     });
     addr
 }
@@ -396,10 +400,10 @@ fn router_fan_out_reaches_every_backend_before_it_waits_on_one() {
     let nchunks = test_world().panel().len().div_ceil(fbsim_population::CHUNK_USERS) as u32;
     let half = nchunks / 2;
     let (received, wait) = mpsc::channel::<()>();
-    let first = scripted_backend((0..half).collect(), move || {
+    let first = scripted_backend((0..half).collect(), 0, move || {
         wait.recv_timeout(Duration::from_secs(5)).is_ok()
     });
-    let second = scripted_backend((half..nchunks).collect(), move || {
+    let second = scripted_backend((half..nchunks).collect(), 0, move || {
         let _ = received.send(());
         true
     });
@@ -415,4 +419,71 @@ fn router_fan_out_reaches_every_backend_before_it_waits_on_one() {
         .sampled_reach(&["US"], &[0])
         .expect("the fan-out must reach both backends before the router waits");
     assert!(reach.floored, "zero partials merge to a floored report");
+}
+
+/// A router over two scripted backends that split the world's chunks and
+/// answer every chunk with `value`. Each backend answers one query.
+fn router_over_scripted(value: u64) -> ReachRouter {
+    let nchunks = test_world().panel().len().div_ceil(fbsim_population::CHUNK_USERS) as u32;
+    let half = nchunks / 2;
+    let backends = vec![
+        scripted_backend((0..half).collect(), value, || true),
+        scripted_backend((half..nchunks).collect(), value, || true),
+    ];
+    ReachRouter::start(
+        test_world(),
+        backends,
+        RouterConfig { rate_limit: generous(), ..RouterConfig::default() },
+    )
+    .expect("bind router")
+}
+
+#[test]
+fn router_refuses_sampled_counts_that_overflow() {
+    // The sum of per-chunk counts used to be a bare `+=`: it panicked the
+    // connection thread in a debug build and wrapped in a release build.
+    let router = router_over_scripted(u64::MAX);
+    let mut client = ReachClient::connect(router.addr()).unwrap();
+    match client.sampled_reach(&["US"], &[0]) {
+        Err(ClientError::Server(m)) => assert!(m.contains("overflow"), "{m}"),
+        other => panic!("expected an overflow refusal, got {other:?}"),
+    }
+}
+
+#[test]
+fn router_refuses_float_partials_that_are_no_reach() {
+    // NaN used to report the floor and +inf `u64::MAX`; a negative partial
+    // silently shrank the sum.
+    for value in [f64::NAN, f64::INFINITY, -1.0, f64::MAX] {
+        let router = router_over_scripted(value.to_bits());
+        let mut client = ReachClient::connect(router.addr()).unwrap();
+        match client.potential_reach(&["US"], &[0]) {
+            Err(ClientError::Server(m)) => assert!(m.contains("finite non-negative"), "{m}"),
+            other => panic!("scalar partial {value}: expected a refusal, got {other:?}"),
+        }
+        let router = router_over_scripted(value.to_bits());
+        let mut client = ReachClient::connect(router.addr()).unwrap();
+        match client.nested_reach(&["US"], &[0]) {
+            Err(ClientError::Server(m)) => assert!(m.contains("finite non-negative"), "{m}"),
+            other => panic!("nested partial {value}: expected a refusal, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn partials_frames_never_reach_a_client() {
+    // A peer that answers a client's query with raw partials gets a typed
+    // error out of every public read, never a sub-floor value.
+    let peer = scripted_backend(vec![0, 1], 7, || true);
+    let mut client = ReachClient::connect(peer).unwrap();
+    match client.request(&ReachRequest::scalar(vec!["US".into()], vec![0])) {
+        Err(ClientError::UnexpectedResponse("shard_partials")) => {}
+        other => panic!("request: expected UnexpectedResponse, got {other:?}"),
+    }
+    let peer = scripted_backend(vec![0, 1], 7, || true);
+    let mut client = ReachClient::connect(peer).unwrap();
+    match client.pipeline(&[ReachRequest::scalar(vec!["US".into()], vec![0])]) {
+        Err(ClientError::UnexpectedResponse("shard_partials")) => {}
+        other => panic!("pipeline: expected UnexpectedResponse, got {other:?}"),
+    }
 }

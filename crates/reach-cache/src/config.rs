@@ -1,7 +1,5 @@
 //! Cache configuration knobs and the stats snapshot reported to clients.
 
-use serde::{Deserialize, Serialize};
-
 /// Tuning knobs for the reach cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -50,7 +48,7 @@ impl CacheConfig {
 
 /// A point-in-time snapshot of the cache's state and event counters, as
 /// reported over the wire by the reach server's `stats` endpoint.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Whether caching is enabled.
     pub enabled: bool,
@@ -106,29 +104,5 @@ mod tests {
         ] {
             assert!(config.validate().is_err(), "{config:?} should be rejected");
         }
-    }
-
-    #[test]
-    fn stats_serialise_round_trip() {
-        let stats = CacheStats {
-            enabled: true,
-            epoch: 3,
-            shards: 8,
-            capacity: 4096,
-            entries: 10,
-            hits: 100,
-            misses: 11,
-            single_flight_waits: 2,
-            insertions: 11,
-            evictions: 1,
-            invalidations: 4,
-            prefix_entries: 2,
-            prefix_hits: 5,
-            prefix_misses: 3,
-            prefix_extensions: 1,
-        };
-        let json = serde_json::to_string(&stats).unwrap();
-        let back: CacheStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, stats);
     }
 }

@@ -17,8 +17,6 @@
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// Number of counter cells; a power of two so the thread-slot modulo is a
 /// mask. Eight covers the thread counts this workspace runs (pool threads +
 /// a handful of connection threads) without making reads expensive.
@@ -243,7 +241,7 @@ impl Histogram {
 }
 
 /// One bucket of a serialized histogram.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BucketCount {
     /// Inclusive upper bound of the bucket (`u64::MAX` = overflow bucket).
     pub le: u64,
@@ -252,7 +250,7 @@ pub struct BucketCount {
 }
 
 /// A serialized histogram, as shipped in a registry snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Registered name.
     pub name: String,

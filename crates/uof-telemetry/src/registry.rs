@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 
@@ -101,7 +100,7 @@ impl Registry {
 }
 
 /// A serialized counter reading.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Registered name.
     pub name: String,
@@ -110,7 +109,7 @@ pub struct CounterSnapshot {
 }
 
 /// A serialized gauge reading.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GaugeSnapshot {
     /// Registered name.
     pub name: String,
@@ -120,7 +119,7 @@ pub struct GaugeSnapshot {
 
 /// A point-in-time dump of a [`Registry`], as shipped over the reach-api
 /// wire by the `StatsSnapshot` opcode. Entries are sorted by name.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegistrySnapshot {
     /// All counters, sorted by name.
     pub counters: Vec<CounterSnapshot>,
@@ -195,27 +194,5 @@ mod tests {
         let mut sorted = gauge_names.clone();
         sorted.sort_unstable();
         assert_eq!(gauge_names, sorted);
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_json() {
-        let registry = Registry::new();
-        registry.counter("c").add(5);
-        registry.gauge("g").set(2);
-        registry.histogram("h", &[100]).observe(50);
-
-        let snap = registry.snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: RegistrySnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn empty_snapshot_round_trips() {
-        let snap = Registry::new().snapshot();
-        assert!(snap.counters.is_empty());
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: RegistrySnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
     }
 }

@@ -23,8 +23,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use crate::metrics::Histogram;
 use crate::trace::{TraceEvent, TraceField};
 use crate::Telemetry;
@@ -77,29 +75,6 @@ pub struct TraceContext {
     pub trace_id: u64,
     /// Id of the span that children should attach under.
     pub parent_span_id: u64,
-}
-
-impl Serialize for TraceContext {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Array(vec![
-            serde::Value::U64(self.trace_id),
-            serde::Value::U64(self.parent_span_id),
-        ])
-    }
-}
-
-impl<'de> Deserialize<'de> for TraceContext {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::Array(items) if items.len() == 2 => Ok(TraceContext {
-                trace_id: u64::from_value(&items[0])?,
-                parent_span_id: u64::from_value(&items[1])?,
-            }),
-            other => Err(serde::Error::msg(format!(
-                "expected [trace_id, parent_span_id], got {other:?}"
-            ))),
-        }
-    }
 }
 
 /// A hoisted span descriptor: a span name plus a lazily resolved handle to

@@ -6,8 +6,9 @@
 # The workspace's `default-members` are the root package and every crate,
 # so the root `cargo test` runs every workspace suite: the reach kernel
 # and its row-at-a-time oracle, the whole `reach-api` suite (with the wire
-# codec's differential proptests against serde_json), the marketplace and
-# the root integration tests. It runs twice: once strictly sequentially
+# codec's differential proptests against serde_json over serde-derived
+# mirrors of the wire types), the marketplace and the root integration
+# tests. It runs twice: once strictly sequentially
 # (UOF_THREADS=1) and once at the default thread count, so a
 # scheduling-dependent regression in the parallel pipeline cannot hide
 # behind either configuration. Cache, index, telemetry and deployment
@@ -29,6 +30,14 @@ cargo fmt --check
 
 echo "==> cargo clippy (every workspace target, warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "==> serde stays a test-only dependency"
+# serde, serde_derive and serde_json are the wire codec's test oracle: no
+# workspace crate may build them into a non-test target.
+if cargo tree --offline -e normal --workspace --prefix none | grep -E '^serde'; then
+    echo "a workspace crate has a normal dependency on serde; make it a dev-dependency" >&2
+    exit 1
+fi
 
 echo "==> xtask lint"
 cargo run -q -p xtask -- lint
