@@ -72,6 +72,56 @@ pub fn quantiles(sample: &[f64], ps: &[f64]) -> Result<Vec<f64>, QuantileError> 
     ps.iter().map(|&p| sorted.quantile(p)).collect()
 }
 
+/// Computes the type-7 quantile of `sample` at probability `p` by
+/// selection instead of a full sort, reordering `sample` in place.
+///
+/// The lower order statistic is the `⌊h⌋`-th element after
+/// `select_nth_unstable_by`, and the upper one the minimum of the part
+/// above it. Both orders are `total_cmp`, as in [`SortedSample::new`], so
+/// the answer is bit-identical to [`quantile`] in O(n) rather than
+/// O(n log n). It suits callers that read one quantile per sample, like the
+/// `N_P` bootstrap's `V_AS` columns.
+///
+/// # Errors
+///
+/// Same conditions as [`quantile`], checked in the same order.
+///
+/// # Examples
+///
+/// ```
+/// use fbsim_stats::quantile::{quantile, select_quantile};
+/// let xs = [4.0, 1.0, 3.0, 2.0];
+/// let sorted_answer = quantile(&xs, 0.9).unwrap();
+/// assert_eq!(select_quantile(&mut xs.clone(), 0.9).unwrap(), sorted_answer);
+/// assert_eq!(select_quantile(&mut xs.clone(), 0.5).unwrap(), 2.5);
+/// ```
+pub fn select_quantile(sample: &mut [f64], p: f64) -> Result<f64, QuantileError> {
+    if sample.is_empty() {
+        return Err(QuantileError::EmptySample);
+    }
+    if sample.iter().any(|v| v.is_nan()) {
+        return Err(QuantileError::NanInSample);
+    }
+    if !p.is_finite() || !(0.0..=1.0).contains(&p) {
+        return Err(QuantileError::InvalidProbability);
+    }
+    let (lo, frac) = type7_position(sample.len(), p);
+    let (_, &mut lower, above) = sample.select_nth_unstable_by(lo, f64::total_cmp);
+    Ok(match above.iter().copied().min_by(f64::total_cmp) {
+        Some(upper) => lower + frac * (upper - lower),
+        None => lower,
+    })
+}
+
+/// The type-7 position `h = (n - 1)·p` of a sample of `n ≥ 1` values,
+/// split into the lower order statistic's 0-based index and the
+/// interpolation weight toward the next one.
+fn type7_position(n: usize, p: f64) -> (usize, f64) {
+    let h = (n - 1) as f64 * p;
+    let lo = h.floor() as usize;
+    (lo, h - lo as f64)
+}
+
 /// A sample sorted once, for computing many quantiles cheaply.
 ///
 /// The uniqueness model computes four quantiles (Q = 50, 80, 90, 95) of each
@@ -147,17 +197,12 @@ impl SortedSample {
         if !p.is_finite() || !(0.0..=1.0).contains(&p) {
             return Err(QuantileError::InvalidProbability);
         }
-        let n = self.values.len();
-        if n == 1 {
-            return Ok(self.values[0]);
-        }
-        let h = (n - 1) as f64 * p;
-        let lo = h.floor() as usize;
-        let frac = h - lo as f64;
-        if lo + 1 >= n {
-            return Ok(self.values[n - 1]);
-        }
-        Ok(self.values[lo] + frac * (self.values[lo + 1] - self.values[lo]))
+        let (lo, frac) = type7_position(self.values.len(), p);
+        let lower = self.values[lo];
+        Ok(match self.values.get(lo + 1) {
+            Some(&upper) => lower + frac * (upper - lower),
+            None => lower,
+        })
     }
 
     /// Median (the 0.5 quantile).

@@ -1,7 +1,7 @@
 //! Property-based tests of the statistics substrate.
 
 use fbsim_stats::dist::{normal_quantile, AliasTable, Log10Normal};
-use fbsim_stats::quantile::{quantile, SortedSample};
+use fbsim_stats::quantile::{quantile, select_quantile, SortedSample};
 use fbsim_stats::regression::LinearFit;
 use fbsim_stats::{bootstrap_ci, Ecdf, Summary};
 use proptest::prelude::*;
@@ -19,6 +19,42 @@ proptest! {
         let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(q >= min - 1e-9 && q <= max + 1e-9);
+    }
+
+    #[test]
+    fn select_quantile_is_bit_identical_to_sorting(xs in finite_vec(200), p in 0.0f64..=1.0) {
+        let sorted = quantile(&xs, p).unwrap();
+        let selected = select_quantile(&mut xs.clone(), p).unwrap();
+        prop_assert_eq!(selected.to_bits(), sorted.to_bits());
+    }
+
+    #[test]
+    fn select_quantile_is_bit_identical_on_ties(
+        codes in prop::collection::vec(0u8..6, 1..40),
+        p in 0.0f64..=1.0,
+    ) {
+        // Few distinct values, signed zeros among them: every order
+        // statistic is tied, and -0.0 and 0.0 must land where the sort
+        // puts them.
+        let xs: Vec<f64> = codes
+            .iter()
+            .map(|&c| match c {
+                0 => -0.0,
+                1 => 0.0,
+                c => f64::from(c) * 10.0,
+            })
+            .collect();
+        for p in [p, 0.0, 0.5, 1.0] {
+            let sorted = quantile(&xs, p).unwrap();
+            let selected = select_quantile(&mut xs.clone(), p).unwrap();
+            prop_assert_eq!(selected.to_bits(), sorted.to_bits());
+        }
+    }
+
+    #[test]
+    fn select_quantile_of_one_value_is_that_value(x in -1e6f64..1e6, p in 0.0f64..=1.0) {
+        prop_assert_eq!(select_quantile(&mut [x], p).unwrap().to_bits(), x.to_bits());
+        prop_assert_eq!(quantile(&[x], p).unwrap().to_bits(), x.to_bits());
     }
 
     #[test]

@@ -555,7 +555,7 @@ impl ConnectionMetrics {
 
 /// Saturating nanosecond reading of an elapsed interval (a duration past
 /// ~584 years would overflow `u64`; clamp instead of truncating).
-pub(crate) fn saturating_ns(elapsed: Duration) -> u64 {
+fn saturating_ns(elapsed: Duration) -> u64 {
     u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 

@@ -7,22 +7,22 @@
 //! private `serve` module); this module supplies the engine, cache and
 //! index behind it.
 
+use std::cell::Cell;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fbsim_adplatform::reach::{AdsManagerApi, PotentialReach, ReportingEra};
-use fbsim_population::index::{IndexConfig, ReachIndex};
+use fbsim_population::index::{IndexConfig, ReachIndex, BLOCK_USERS};
+use fbsim_population::reach::CountryFilter;
 use fbsim_population::shard::{ShardAssignment, ShardSpec};
 use fbsim_population::{InterestId, World};
 use parking_lot::Mutex;
-use reach_cache::{CacheConfig, CacheStats, ReachCache};
+use reach_cache::{CacheConfig, ReachCache};
 use uof_telemetry::{Telemetry, TelemetryConfig, TraceContext};
 
 use crate::proto::{Answer, Op, QueryKind, ReachRequest, ReachResponse, ShardPartials};
-use crate::serve::{
-    saturating_ns, serve_connection, validate, Acceptor, FrameHandler, TimingProbe,
-};
+use crate::serve::{serve_connection, validate, Acceptor, FrameHandler, TimingProbe};
 
 /// Token-bucket rate-limit settings (per connection).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,11 +129,26 @@ impl Default for ServerConfig {
 /// than cloning posting lists out.
 struct SampledIndex {
     slot: Mutex<Option<ReachIndex>>,
+    /// Every panel block, ascending: what a sampled cache entry counts.
+    blocks: Vec<usize>,
 }
 
 impl SampledIndex {
-    fn new() -> Self {
-        Self { slot: Mutex::new(None) }
+    fn new(world: &World) -> Self {
+        let blocks = (0..world.panel().len().div_ceil(BLOCK_USERS)).collect();
+        Self { slot: Mutex::new(None), blocks }
+    }
+
+    /// The conjunction's member count in every panel block: the value of
+    /// a sampled cache entry.
+    fn block_counts(
+        &self,
+        world: &World,
+        ids: &[InterestId],
+        filter: CountryFilter,
+    ) -> Option<Arc<[u64]>> {
+        self.query(world, ids, |ix| ix.conjunction_count_in_blocks(ids, filter, &self.blocks))
+            .map(Arc::from)
     }
 
     /// Runs `query` on an index that covers `ids`, (re)building or
@@ -227,7 +242,12 @@ impl ReachServer {
         let cache = Arc::new(ReachCache::new(config.cache));
         // One sampled-count index shared by every connection thread, grown
         // lazily — servers that never see a `sampled` request never build it.
-        let index = SampledIndex::new();
+        let index = SampledIndex::new(&world);
+        // A shard's chunks are fixed by the world's seed and panel size, so
+        // they are derived once here rather than per request.
+        let owned_chunks = config
+            .shard
+            .map(|shard| ShardAssignment::new(&world, shard.count).chunks_of(shard.index));
         let acceptor = Acceptor::start(
             config.rate_limit,
             config.write_timeout,
@@ -240,6 +260,7 @@ impl ReachServer {
                         api: AdsManagerApi::new(&world, config.era),
                         cache: &cache,
                         index: &index,
+                        owned_chunks: owned_chunks.as_deref(),
                         config: &config,
                         telemetry,
                     };
@@ -303,8 +324,39 @@ struct Engine<'a> {
     api: AdsManagerApi<'a>,
     cache: &'a ReachCache,
     index: &'a SampledIndex,
+    /// The chunks this backend owns in shard mode; `None` on a single node.
+    owned_chunks: Option<&'a [usize]>,
     config: &'a ServerConfig,
     telemetry: &'a Telemetry,
+}
+
+impl Engine<'_> {
+    /// A sampled conjunction's per-block counts from the cache's sampled
+    /// namespace. Only a miss runs the index, and only that run is timed
+    /// into `probe`, so a hit reports `cache_hit` like a warm scalar.
+    fn cached_block_counts(
+        &self,
+        ids: &[InterestId],
+        filter: CountryFilter,
+        probe: &mut TimingProbe,
+    ) -> Option<Arc<[u64]>> {
+        let world = self.api.world();
+        let timed = Cell::new(*probe);
+        let counts = self.cache.sampled_blocks(ids, filter, || {
+            time_in(&timed, || self.index.block_counts(world, ids, filter))
+        });
+        *probe = timed.get();
+        counts
+    }
+}
+
+/// Runs `compute` timed into the probe held in `cell`. The cache's miss
+/// closures are `Fn`, so they cannot borrow the probe mutably.
+fn time_in<T>(cell: &Cell<TimingProbe>, compute: impl FnOnce() -> T) -> T {
+    let mut probe = cell.get();
+    let out = probe.time(compute);
+    cell.set(probe);
+    out
 }
 
 impl FrameHandler for Engine<'_> {
@@ -332,7 +384,7 @@ impl FrameHandler for Engine<'_> {
                 // nothing records, so the dump is empty — still a valid,
                 // well-formed answer.
                 if self.telemetry.is_enabled() {
-                    publish_cache_stats(self.telemetry, &cache.stats());
+                    publish_cache_stats(self.telemetry, cache);
                 }
                 return Ok(Answer::Client(ReachResponse::StatsSnapshot {
                     registry: self.telemetry.snapshot(),
@@ -353,47 +405,55 @@ impl FrameHandler for Engine<'_> {
             // shard mode: partials are pre-floor values, and the reporting
             // floor (applied once, at the router, after the merge) is the
             // privacy contract — a single-node server must never leak them.
-            let Some(shard) = self.config.shard else {
+            let Some(chunks) = self.owned_chunks else {
                 return Err("shard partials require a shard-configured backend".into());
             };
-            let chunks = ShardAssignment::new(world, shard.count).chunks_of(shard.index);
             let values: Vec<Vec<u64>> = match kind {
-                QueryKind::Sampled => probe
-                    .time(|| {
+                QueryKind::Sampled => if cache.enabled() {
+                    self.cached_block_counts(ids, filter, probe)
+                        .map(|all| chunks.iter().map(|&c| all[c]).collect())
+                } else {
+                    probe.time(|| {
                         index.query(world, ids, |ix| {
-                            ix.conjunction_count_in_blocks(ids, filter, &chunks)
+                            ix.conjunction_count_in_blocks(ids, filter, chunks)
                         })
                     })
-                    .ok_or("sampled shard partials unavailable for this query")?
-                    .into_iter()
-                    .map(|n| vec![n])
-                    .collect(),
+                }
+                .ok_or("sampled shard partials unavailable for this query")?
+                .into_iter()
+                .map(|n| vec![n])
+                .collect(),
                 QueryKind::Nested => probe
-                    .time(|| world.reach_engine().nested_chunk_partials(ids, filter, &chunks))
+                    .time(|| world.reach_engine().nested_chunk_partials(ids, filter, chunks))
                     .into_iter()
                     .map(|per_prefix| per_prefix.into_iter().map(f64::to_bits).collect())
                     .collect(),
                 QueryKind::Scalar => probe
-                    .time(|| world.reach_engine().conjunction_chunk_partials(ids, filter, &chunks))
+                    .time(|| world.reach_engine().conjunction_chunk_partials(ids, filter, chunks))
                     .into_iter()
                     .map(|partial| vec![partial.to_bits()])
                     .collect(),
             };
             return Ok(Answer::Partials(ShardPartials {
                 generation: world.generation(),
-                chunks: chunks.into_iter().map(|c| c as u32).collect(),
+                chunks: chunks.iter().map(|&c| c as u32).collect(),
                 values,
             }));
         }
         Ok(Answer::Client(match kind {
             QueryKind::Sampled => {
-                // Sampled counts bypass the float engine and its cache
-                // entirely: the index is its own memo (posting lists persist
-                // across queries) and its epoch rides the same generation
-                // counter.
-                let members = probe
-                    .time(|| index.query(world, ids, |ix| ix.conjunction_count(ids, filter)))
-                    .ok_or("sampled reach unavailable for this query")?;
+                // Sampled counts bypass the float engine. The cache's
+                // sampled namespace holds each conjunction's per-block
+                // counts (the entry a shard backend slices), so a repeat
+                // runs no AND-chain; its epoch and the index's ride the same
+                // generation counter. With the cache off the index counts
+                // the whole panel at once.
+                let members = if cache.enabled() {
+                    self.cached_block_counts(ids, filter, probe).map(|all| all.iter().sum())
+                } else {
+                    probe.time(|| index.query(world, ids, |ix| ix.conjunction_count(ids, filter)))
+                }
+                .ok_or("sampled reach unavailable for this query")?;
                 let PotentialReach { reported, floored, too_narrow_warning } =
                     api.report_potential(members as f64 * world.panel().scale());
                 ReachResponse::SampledReach { reported, floored, too_narrow_warning }
@@ -415,25 +475,14 @@ impl FrameHandler for Engine<'_> {
                 // The expensive true-reach evaluation is memoized; the cheap
                 // reporting step (floor + advisory) is applied to the cached
                 // value, so a cached answer is bit-identical to an uncached
-                // one. The compute closure is `Fn` (the cache may invoke it
-                // under its single-flight machinery), so the probe is fed
-                // through a `Cell` rather than a mutable capture. A cache
-                // hit never runs the closure: the probe then records no
-                // engine work and the request reports `cache_hit` on the
-                // wire.
-                let compute = std::cell::Cell::new((0u64, false));
+                // one. A cache hit never runs the closure: the probe then
+                // records no engine work and the request reports
+                // `cache_hit` on the wire.
+                let timed = Cell::new(*probe);
                 let true_reach = cache.reach(ids, filter, spec.age_range(), || {
-                    let start = Instant::now();
-                    let value = api.true_reach(&spec);
-                    let (ns, _) = compute.get();
-                    compute.set((ns.saturating_add(saturating_ns(start.elapsed())), true));
-                    value
+                    time_in(&timed, || api.true_reach(&spec))
                 });
-                let (engine_ns, engine_ran) = compute.get();
-                if engine_ran {
-                    probe.engine_ns = probe.engine_ns.saturating_add(engine_ns);
-                    probe.engine_ran = true;
-                }
+                *probe = timed.get();
                 let PotentialReach { reported, floored, too_narrow_warning } =
                     api.report_potential(true_reach);
                 ReachResponse::Reach { reported, floored, too_narrow_warning }
@@ -442,12 +491,15 @@ impl FrameHandler for Engine<'_> {
     }
 }
 
-/// Mirrors the cache's bespoke [`CacheStats`] counters into the registry
-/// as `reach_cache.*` gauges, so one `StatsSnapshot` dump carries the
-/// aggregate cache view alongside the request metrics. Gauges (not
-/// counters) because the cache owns the authoritative totals; the registry
-/// holds a point-in-time copy refreshed on each snapshot.
-fn publish_cache_stats(telemetry: &Telemetry, stats: &CacheStats) {
+/// Mirrors the cache's bespoke [`reach_cache::CacheStats`] counters, plus
+/// the sampled namespace's, into the registry as `reach_cache.*` gauges,
+/// so one `StatsSnapshot` dump carries the aggregate cache view alongside
+/// the request metrics. Gauges (not counters) because the cache owns the
+/// authoritative totals; the registry holds a point-in-time copy refreshed
+/// on each snapshot.
+fn publish_cache_stats(telemetry: &Telemetry, cache: &ReachCache) {
+    let stats = cache.stats();
+    let sampled = cache.sampled_counters();
     let registry = telemetry.registry();
     let clamp = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
     registry.gauge("reach_cache.enabled").set(i64::from(stats.enabled));
@@ -463,6 +515,9 @@ fn publish_cache_stats(telemetry: &Telemetry, stats: &CacheStats) {
     registry.gauge("reach_cache.prefix_hits").set(clamp(stats.prefix_hits));
     registry.gauge("reach_cache.prefix_misses").set(clamp(stats.prefix_misses));
     registry.gauge("reach_cache.prefix_extensions").set(clamp(stats.prefix_extensions));
+    registry.gauge("reach_cache.sampled_entries").set(clamp(cache.sampled_entries() as u64));
+    registry.gauge("reach_cache.sampled_hits").set(clamp(sampled.hits));
+    registry.gauge("reach_cache.sampled_misses").set(clamp(sampled.misses));
 }
 
 #[cfg(test)]

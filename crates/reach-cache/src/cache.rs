@@ -19,6 +19,7 @@
 //! flow.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::{BuildHasherDefault, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -129,8 +130,8 @@ enum Role<V> {
 }
 
 /// Unwinding insurance for a single-flight leader: if the computation
-/// panics, the guard removes the flight from the shard table and abandons
-/// it so blocked followers retry instead of hanging forever.
+/// panics or fails, the guard removes the flight from the shard table and
+/// abandons it so blocked followers retry instead of hanging forever.
 struct LeaderGuard<'a, K: Hash + Eq + Clone, V> {
     shard: &'a Shard<K, V>,
     key: &'a K,
@@ -280,6 +281,23 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// computed while the epoch moved is returned but not inserted; the
     /// follower path re-checks the epoch after waking for the same reason.
     pub fn get_or_compute(&self, key: &K, compute: impl Fn() -> V) -> V {
+        let Ok(value) = self.get_or_try_compute(key, || Ok::<V, Infallible>(compute()));
+        value
+    }
+
+    /// [`ShardedCache::get_or_compute`] for a computation that can fail. An
+    /// `Err` is handed to the leader's caller and never cached: the flight
+    /// is abandoned as if the leader had panicked, so each waiting follower
+    /// retries, and the next leader computes again.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `compute` returned on this caller's leader turn.
+    pub fn get_or_try_compute<E>(
+        &self,
+        key: &K,
+        compute: impl Fn() -> Result<V, E>,
+    ) -> Result<V, E> {
         loop {
             let epoch = self.epoch.load(Ordering::SeqCst);
             let shard = self.shard_for(key);
@@ -304,7 +322,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             match role {
                 Role::Hit(value) => {
                     shard.hits.fetch_add(1, Ordering::Relaxed);
-                    return value;
+                    return Ok(value);
                 }
                 Role::Wait(flight) => {
                     shard.waits.fetch_add(1, Ordering::Relaxed);
@@ -313,7 +331,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
                         // has since moved; only a same-epoch value is safe
                         // to hand out without a fresh look.
                         Some(value) if self.epoch.load(Ordering::SeqCst) == epoch => {
-                            return value;
+                            return Ok(value);
                         }
                         _ => continue,
                     }
@@ -321,7 +339,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
                 Role::Lead(flight) => {
                     shard.misses.fetch_add(1, Ordering::Relaxed);
                     let mut guard = LeaderGuard { shard, key, flight: &flight, armed: true };
-                    let value = compute();
+                    // On `Err` the armed guard retires the flight.
+                    let value = compute()?;
                     {
                         let mut inner = shard.inner.lock();
                         inner.flights.remove(key);
@@ -337,7 +356,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
                     }
                     guard.armed = false;
                     flight.complete(value.clone());
-                    return value;
+                    return Ok(value);
                 }
             }
         }
@@ -475,6 +494,20 @@ mod tests {
         assert!(leader.join().is_err(), "leader panic propagates to its thread");
         assert_eq!(follower.join().unwrap(), 7, "follower retried and became leader");
         assert_eq!(cache.peek(&9), Some(7));
+    }
+
+    #[test]
+    fn failed_computation_is_returned_not_cached() {
+        let cache: ShardedCache<u64, u64> = ShardedCache::new(16, 2);
+        assert_eq!(
+            cache.get_or_try_compute(&4, || Err::<u64, &str>("no answer")),
+            Err("no answer")
+        );
+        assert_eq!(cache.len(), 0, "a failure leaves nothing resident");
+        assert_eq!(cache.get_or_try_compute(&4, || Ok::<u64, &str>(44)), Ok(44));
+        assert_eq!(cache.get_or_try_compute(&4, || Err::<u64, &str>("unused")), Ok(44));
+        let c = cache.counters();
+        assert_eq!((c.misses, c.hits, c.insertions), (2, 1, 1));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 pub struct CacheConfig {
     /// Whether the cache is consulted at all.
     pub enabled: bool,
-    /// Max resident conjunction-reach entries (one `f64` each).
+    /// Max resident entries of each conjunction namespace: the scalar
+    /// reaches (one `f64` each) and, separately, the sampled per-block
+    /// counts (one `u64` per panel block each).
     pub capacity: usize,
     /// Max resident prefix-sweep entries. Each holds a per-panel-user
     /// product vector (8 bytes × panel size), so the budget is small.
@@ -64,13 +66,16 @@ pub struct CacheStats {
     pub hits: u64,
     /// Conjunction lookups that ran the engine (single-flight leaders).
     pub misses: u64,
-    /// Lookups that blocked on another thread's in-flight computation.
+    /// Scalar and prefix lookups that blocked on another thread's in-flight
+    /// computation.
     pub single_flight_waits: u64,
     /// Conjunction entries written.
     pub insertions: u64,
     /// Conjunction entries displaced by capacity pressure.
     pub evictions: u64,
-    /// Stale-epoch entries discarded on access (both namespaces).
+    /// Stale-epoch entries discarded on access (scalar and prefix
+    /// namespaces; the sampled namespace reports through
+    /// `ReachCache::sampled_counters`).
     pub invalidations: u64,
     /// Resident prefix-sweep entries.
     pub prefix_entries: usize,

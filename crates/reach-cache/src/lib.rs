@@ -26,11 +26,14 @@
 //!    their next touch.
 //!
 //! Layering: `reach-api` connection threads → [`ReachCache`] →
-//! [`fbsim_population::ReachEngine`]. The facade exposes two namespaces —
-//! [`ReachCache::reach`] for scalar conjunction queries and
-//! [`ReachCache::nested_reaches_in`] for prefix sweeps with **prefix
-//! memoization**: a 25-interest sweep whose 20-interest prefix is resident
-//! only pays for the 5-interest tail.
+//! [`fbsim_population::ReachEngine`] or the posting-list index. The facade
+//! exposes three namespaces — [`ReachCache::reach`] for scalar conjunction
+//! queries, [`ReachCache::nested_reaches_in`] for prefix sweeps with
+//! **prefix memoization** (a 25-interest sweep whose 20-interest prefix is
+//! resident only pays for the 5-interest tail), and
+//! [`ReachCache::sampled_blocks`] for sampled counts, memoized per panel
+//! block so one entry answers a single node (its sum) and every shard (its
+//! own blocks).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -77,6 +80,8 @@ pub struct ReachCache {
     config: CacheConfig,
     conjunctions: ShardedCache<ConjunctionKey, f64>,
     prefixes: ShardedCache<PrefixKey, Arc<PrefixEntry>>,
+    /// Sampled conjunctions' member counts, one per panel block.
+    sampled: ShardedCache<ConjunctionKey, Arc<[u64]>>,
     /// Last world generation observed by [`ReachCache::sync_generation`].
     /// Starts at a sentinel no world can report, so the first sync always
     /// establishes a clean epoch.
@@ -92,6 +97,7 @@ impl ReachCache {
         Self {
             conjunctions: ShardedCache::new(config.capacity, config.shards),
             prefixes: ShardedCache::new(config.prefix_capacity, config.shards),
+            sampled: ShardedCache::new(config.capacity, config.shards),
             last_generation: AtomicU64::new(u64::MAX),
             prefix_extensions: AtomicU64::new(0),
             config,
@@ -118,10 +124,11 @@ impl ReachCache {
         }
     }
 
-    /// Unconditionally invalidates both namespaces.
+    /// Unconditionally invalidates all three namespaces.
     pub fn bump_epoch(&self) {
         self.conjunctions.bump_epoch();
         self.prefixes.bump_epoch();
+        self.sampled.bump_epoch();
     }
 
     /// The conjunction-reach of `interests` under `filter` and an optional
@@ -184,6 +191,38 @@ impl ReachCache {
             Arc::new(PrefixEntry { reaches, state })
         });
         entry.reaches.clone()
+    }
+
+    /// The member count of the sampled conjunction `interests` under
+    /// `filter` in every panel block, memoized under the same canonical
+    /// [`ConjunctionKey`] as [`ReachCache::reach`] (no age window). A
+    /// single node sums the blocks; a shard backend reads its own.
+    ///
+    /// `compute` must return the counts of **all** blocks, in block order,
+    /// or `None` when the index cannot answer; `None` is returned and not
+    /// cached. With the cache disabled `compute` runs every time.
+    pub fn sampled_blocks(
+        &self,
+        interests: &[InterestId],
+        filter: CountryFilter,
+        compute: impl Fn() -> Option<Arc<[u64]>>,
+    ) -> Option<Arc<[u64]>> {
+        if !self.config.enabled {
+            return compute();
+        }
+        let key = ConjunctionKey::new(interests, filter, None);
+        self.sampled.get_or_try_compute(&key, || compute().ok_or(())).ok()
+    }
+
+    /// Event counters of the sampled namespace. They stay out of
+    /// [`CacheStats`], whose fields are the `stats` wire payload.
+    pub fn sampled_counters(&self) -> CacheCounters {
+        self.sampled.counters()
+    }
+
+    /// Resident sampled-namespace entries.
+    pub fn sampled_entries(&self) -> usize {
+        self.sampled.len()
     }
 
     /// A point-in-time stats snapshot.

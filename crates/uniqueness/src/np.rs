@@ -60,7 +60,7 @@ pub fn estimate_np(
     let floor = vectors.floor as f64;
     let point = {
         let _span = uof_telemetry::span!("uniqueness.fit", users = vectors.len(), p = p);
-        fit_np(&vectors.v_as(q), floor).map_err(NpError::Fit)?
+        fit_np(&vectors.v_as_censored(q, None, floor), floor).map_err(NpError::Fit)?
     };
     let ci95 = if replicates > 0 {
         let _span = uof_telemetry::span!(
@@ -70,7 +70,7 @@ pub fn estimate_np(
             p = p,
         );
         let (ci, _) = bootstrap_ci(vectors.len(), replicates, 0.95, seed, |idx| {
-            fit_np(&vectors.v_as_indices(q, Some(idx)), floor).ok().map(|f| f.np)
+            fit_np(&vectors.v_as_censored(q, Some(idx), floor), floor).ok().map(|f| f.np)
         })
         .map_err(|e| NpError::Bootstrap(e.to_string()))?;
         Some(ci)
@@ -211,6 +211,43 @@ mod tests {
         let text = table.render();
         assert!(text.contains("N(LP)_P"));
         assert!(text.contains("N(R)_P"));
+    }
+
+    #[test]
+    fn test_scale_table_is_pinned_bit_for_bit() {
+        use fbsim_adplatform::reach::{AdsManagerApi, ReportingEra};
+        use fbsim_population::{MaterializedUser, World, WorldConfig};
+        // (value, lo, hi) bits per cell, LP row then R row, recorded from
+        // the full-sort `V_AS` path; the censored selection path must
+        // reproduce every one.
+        const PINNED: [(u64, u64, u64); 8] = [
+            (0x4011_0c74_02d1_32d3, 0x4010_b075_7bdc_f524, 0x4016_2a81_54ba_135f),
+            (0x401b_82fe_82a0_82fd, 0x4016_0184_c0f9_5609, 0x401d_db58_0e0f_be5a),
+            (0x4020_fc4a_6df5_50cd, 0x401b_3d6e_4385_64d2, 0x403e_e1b2_2575_db66),
+            (0x4030_0c3e_933c_67c2, 0x401d_4796_35dd_3f7d, 0x406c_32c6_411c_b16f),
+            (0x4031_10aa_5dc3_57fa, 0x402d_c572_4aab_2960, 0x4034_e369_88fb_342e),
+            (0x403b_2075_e746_efaf, 0x4036_c32c_a0af_b473, 0x4042_7be2_724d_47d5),
+            (0x4042_32c6_68a5_ca70, 0x403c_5c34_63bb_7091, 0x4045_a05e_1c6d_f17d),
+            (0x4045_3777_d42b_e714, 0x4041_703b_e24b_f43d, 0x4050_900c_dc59_c46d),
+        ];
+        let world = World::generate(WorldConfig::test_scale(83)).unwrap();
+        let api = AdsManagerApi::new(&world, ReportingEra::Early2017);
+        let cohort = world.sample_cohort(60, 5);
+        let refs: Vec<&MaterializedUser> = cohort.iter().collect();
+        let lp = AudienceVectors::collect(&api, &refs, SelectionStrategy::LeastPopular, 13);
+        let random = AudienceVectors::collect(&api, &refs, SelectionStrategy::Random, 13);
+        let table = NpTable::build(&lp, &random, 200, 17).unwrap();
+        for (cell, &(value, lo, hi)) in table.lp.iter().chain(&table.random).zip(&PINNED) {
+            let ci = cell.ci95.unwrap();
+            assert_eq!(
+                (cell.value.to_bits(), ci.lo.to_bits(), ci.hi.to_bits()),
+                (value, lo, hi),
+                "{:?} P={}",
+                cell.strategy,
+                cell.p
+            );
+            assert_eq!(ci.replicates, 200);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use fbsim_adplatform::reach::AdsManagerApi;
 use fbsim_adplatform::targeting::TargetingSpec;
 use fbsim_population::MaterializedUser;
-use fbsim_stats::quantile::quantile;
+use fbsim_stats::quantile::select_quantile;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -97,22 +97,51 @@ impl AudienceVectors {
     /// `V_AS(Q)` over a bootstrap resample given by row indices (`None`
     /// means all rows once).
     pub fn v_as_indices(&self, q: f64, indices: Option<&[usize]>) -> Vec<f64> {
+        self.v_as_until(q, indices, |_| false)
+    }
+
+    /// [`crate::fit::censor_at_floor`] of
+    /// [`AudienceVectors::v_as_indices`]: the columns the censored fit
+    /// reads, up to and including the first quantile at or below `floor`,
+    /// and no further. Least-popular curves reach the floor after two or
+    /// three of the 25 columns, so the bootstrap skips the rest.
+    pub fn v_as_censored(&self, q: f64, indices: Option<&[usize]>, floor: f64) -> Vec<f64> {
+        self.v_as_until(q, indices, |v| v <= floor)
+    }
+
+    /// `V_AS(Q)` column by column, stopping after the first value `stop`
+    /// accepts. Each quantile is read by selection from one reused column
+    /// buffer.
+    fn v_as_until(
+        &self,
+        q: f64,
+        indices: Option<&[usize]>,
+        stop: impl Fn(f64) -> bool,
+    ) -> Vec<f64> {
         assert!(
             (1.0..=99.0).contains(&q),
             "quantile must be a percentile in [1, 99] (e.g. 50 or 90), got {q}"
         );
         let p = q / 100.0;
         let mut out = Vec::with_capacity(MAX_SEQUENCE);
+        let mut column = Vec::with_capacity(indices.map_or(self.rows.len(), <[usize]>::len));
         for n in 0..MAX_SEQUENCE {
-            let column: Vec<f64> = match indices {
-                None => self.rows.iter().filter_map(|row| row.get(n).copied()).collect(),
-                Some(idx) => idx.iter().filter_map(|&i| self.rows[i].get(n).copied()).collect(),
-            };
+            column.clear();
+            match indices {
+                None => column.extend(self.rows.iter().filter_map(|row| row.get(n).copied())),
+                Some(idx) => {
+                    column.extend(idx.iter().filter_map(|&i| self.rows[i].get(n).copied()));
+                }
+            }
             if column.is_empty() {
                 break;
             }
             // lint:allow(no-unwrap) — invariant: columns are non-empty and finite by construction
-            out.push(quantile(&column, p).expect("non-empty finite column"));
+            let value = select_quantile(&mut column, p).expect("non-empty finite column");
+            out.push(value);
+            if stop(value) {
+                break;
+            }
         }
         out
     }

@@ -66,4 +66,34 @@ proptest! {
             prop_assert!(w[1] <= w[0] + 1e-9);
         }
     }
+
+    #[test]
+    fn censored_v_as_equals_censoring_the_full_v_as(
+        rows in prop::collection::vec(prop::collection::vec(0u32..6, 1..26), 1..30),
+        picks in prop::collection::vec(0usize..1_000, 0..40),
+        q in 1.0f64..99.0,
+        floor_code in 0u32..6,
+    ) {
+        // Ragged, non-increasing rows drawn from a handful of sizes, so
+        // columns tie and reach the floor at varying depths.
+        let sizes = [20.0, 20.0, 45.0, 300.0, 5_000.0, 80_000.0];
+        let rows: Vec<Vec<f64>> = rows
+            .into_iter()
+            .map(|codes| {
+                let mut row: Vec<f64> = codes.iter().map(|&c| sizes[c as usize]).collect();
+                row.sort_by(|a, b| b.total_cmp(a));
+                row
+            })
+            .collect();
+        let indices: Vec<usize> = picks.iter().map(|&i| i % rows.len()).collect();
+        let floor = sizes[floor_code as usize];
+        let v = AudienceVectors::from_rows(SelectionStrategy::Random, 20, rows);
+        for idx in [None, Some(indices.as_slice())] {
+            let full = v.v_as_indices(q, idx);
+            let censored = v.v_as_censored(q, idx, floor);
+            let expected: Vec<u64> = censor_at_floor(&full, floor).iter().map(|x| x.to_bits()).collect();
+            let got: Vec<u64> = censored.iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(got, expected);
+        }
+    }
 }
